@@ -168,15 +168,10 @@ def cmd_collect(args) -> int:
     wat_files = [p for p, kind in found if kind == "wat"]
     try:
         index = ds.store_dedup(wasm_files, dest, repo_id, root=root)
-        conversion = None
         if wat_files:
             converter = None if args.no_convert else args.wat2wasm
             conversion = ds.convert_wat(wat_files, dest / ".wat-work", converter)
-            if conversion.converted:
-                index = ds.store_dedup(conversion.converted, dest, repo_id)
-            index.wat_converted += len(conversion.converted)
-            index.wat_unconverted.extend(conversion.unconverted)
-            ds.save_index(dest, index)
+            index = ds.store_dedup(conversion.converted, dest, repo_id, wat=conversion)
     except ds.IntegrityError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INTEGRITY

@@ -2,12 +2,22 @@
 
 Stored files are content-addressed: `<sha256>.wasm`. An `index.json`
 in the dataset directory maps each hash to every origin that produced
-it. Text-format modules can be converted through an external tool, and
-project builds can be driven through configurable wrapper commands.
+it, and always holds `canonical_json(index.to_dict())`. Text-format
+modules can be converted through an external tool, and project builds
+can be driven through configurable wrapper commands.
+
+Writers of one dataset are serialized by an `flock` on its directory,
+which the kernel releases however the holder exits. Each process caches
+the index it last read or wrote, with every entry's rendered text, and
+trusts that cache only while the SHA-256 of `index.json` still matches
+it, so a file rewritten by anyone else is parsed again. Adding a repo
+then re-renders only the entries whose origins changed; the on-disk
+format is the same as a full `canonical_json` render.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -28,7 +38,6 @@ DEFAULT_BUILD_TIMEOUT = 600.0
 OUTPUT_TRUNCATE = 4096
 
 INDEX_NAME = "index.json"
-LOCK_NAME = ".lock"
 
 
 class IntegrityError(RuntimeError):
@@ -41,6 +50,8 @@ class BinaryIndex:
     entries: dict[str, list[dict]] = field(default_factory=dict)
     wat_converted: int = 0
     wat_unconverted: list[dict] = field(default_factory=list)  # {"path", "stderr"}
+    # hashes whose origins add_origin changed since the last render
+    _dirty: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def add_origin(self, digest: str, repo: str, path: str):
         origins = self.entries.setdefault(digest, [])
@@ -48,19 +59,65 @@ class BinaryIndex:
         if origin not in origins:
             origins.append(origin)
             origins.sort(key=lambda o: (o["repo"], o["path"]))
+            self._dirty.add(digest)
 
-    def to_dict(self) -> dict:
+    def record_wat(self, conversion: WatConversion):
+        """Count converted modules; a path that fails again replaces its entry."""
+        self.wat_converted += len(conversion.converted)
+        by_path = {u["path"]: u for u in self.wat_unconverted + conversion.unconverted}
+        self.wat_unconverted = list(by_path.values())
+
+    def copy(self) -> "BinaryIndex":
+        """A copy whose lists the caller may change; origin dicts are shared."""
+        return BinaryIndex(
+            {h: list(origins) for h, origins in self.entries.items()},
+            self.wat_converted,
+            list(self.wat_unconverted),
+        )
+
+    def _without_entries(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "entries": [
-                {"hash": h, "origins": self.entries[h]}
-                for h in sorted(self.entries)
-            ],
+            "entries": [],
             "wat": {
                 "converted": self.wat_converted,
                 "unconverted": sorted(self.wat_unconverted, key=lambda u: u["path"]),
             },
         }
+
+    def to_dict(self) -> dict:
+        doc = self._without_entries()
+        doc["entries"] = [
+            {"hash": h, "origins": self.entries[h]} for h in sorted(self.entries)
+        ]
+        return doc
+
+    def render(self, pieces: dict[str, bytes]) -> bytes:
+        """`canonical_json(self.to_dict())`, reusing unchanged entries' text.
+
+        `pieces` maps a hash to its entry's text from an earlier render of
+        this index. Entries with no piece, or changed by add_origin since,
+        are rendered again and stored back into `pieces`.
+        """
+        for digest in self._dirty:
+            pieces.pop(digest, None)
+        self._dirty.clear()
+        shell = canonical_json(self._without_entries())
+        if not self.entries:
+            return shell
+        missing = sorted(self.entries.keys() - pieces.keys())
+        if missing:
+            # One canonical_json call renders them all as a top-level list;
+            # shifted one level deeper (indent=2) they are the index's list
+            # items, and ",\n" before a line of exactly "    {" only ever
+            # separates two items.
+            text = canonical_json([{"hash": h, "origins": self.entries[h]} for h in missing])
+            first, *rest = (b"  " + text[2:-3].replace(b"\n", b"\n  ")).split(b",\n    {\n")
+            rendered = [first] + [b"    {\n" + piece for piece in rest]
+            pieces.update(zip(missing, rendered, strict=True))
+        body = b",\n".join(map(pieces.__getitem__, sorted(self.entries)))
+        head, tail = shell.split(b'"entries": []', 1)
+        return b"".join((head, b'"entries": [\n', body, b"\n  ]", tail))
 
     @classmethod
     def from_dict(cls, d: dict) -> "BinaryIndex":
@@ -73,44 +130,85 @@ class BinaryIndex:
         return idx
 
 
-def load_index(dest: Path) -> BinaryIndex:
-    path = Path(dest) / INDEX_NAME
-    if path.exists():
-        return BinaryIndex.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    return BinaryIndex()
+@dataclass
+class _CachedIndex:
+    digest: bytes | None  # SHA-256 of index.json's bytes; None while it is absent
+    index: BinaryIndex  # never handed out: callers get copies
+    pieces: dict[str, bytes]  # BinaryIndex.render's per-entry text
 
 
-def save_index(dest: Path, index: BinaryIndex):
-    path = Path(dest) / INDEX_NAME
+# At most one dataset's index per process, keyed by index.json's path.
+_CACHE: dict[Path, _CachedIndex] = {}
+
+
+def _index_path(dest) -> Path:
+    return (Path(dest) / INDEX_NAME).absolute()
+
+
+def _read_index(path: Path) -> _CachedIndex:
+    """The index in `path`, from the cache while the file's digest matches."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        data = None
+    digest = None if data is None else hashlib.sha256(data).digest()
+    cached = _CACHE.get(path)
+    if cached is None or cached.digest != digest:
+        index = BinaryIndex() if data is None else BinaryIndex.from_dict(json.loads(data))
+        cached = _CachedIndex(digest, index, {})
+        _CACHE.clear()
+        _CACHE[path] = cached
+    return cached
+
+
+def _write_index(path: Path, data: bytes):
     tmp = path.with_suffix(".json.tmp")
-    tmp.write_bytes(canonical_json(index.to_dict()))
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
+def load_index(dest: Path) -> BinaryIndex:
+    if not _index_path(dest).exists():
+        return BinaryIndex()
+    with _DatasetLock(dest):
+        return _read_index(_index_path(dest)).index.copy()
+
+
+def save_index(dest: Path, index: BinaryIndex):
+    with _DatasetLock(dest):
+        _write_index(_index_path(dest), index.render({}))
+
+
 class _DatasetLock:
-    """Single-writer lock file; store_dedup runs are serialized per dest dir."""
+    """Exclusive flock on the dataset directory; writers are serialized per dest.
+
+    The kernel drops the lock when its holder exits, however it exits, so
+    a crashed collector leaves nothing behind for the next run to wait on.
+    """
 
     def __init__(self, dest: Path, timeout: float = 30.0):
-        self.path = Path(dest) / LOCK_NAME
+        self.dest = Path(dest)
         self.timeout = timeout
+        self.fd = -1
 
     def __enter__(self):
+        self.fd = os.open(self.dest, os.O_RDONLY | os.O_DIRECTORY)
         deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
-                return self
-            except FileExistsError:
-                if time.monotonic() >= deadline:
-                    raise TimeoutError(f"dataset lock busy: {self.path}")
-                time.sleep(0.05)
+        try:
+            while True:
+                try:
+                    fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    return self
+                except BlockingIOError:
+                    if time.monotonic() >= deadline:
+                        raise TimeoutError(f"dataset lock busy: {self.dest}") from None
+                    time.sleep(0.05)
+        except BaseException:
+            os.close(self.fd)
+            raise
 
     def __exit__(self, *exc):
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        os.close(self.fd)  # the only descriptor of its open file: the lock goes with it
 
 
 def scan_binaries(root) -> list[tuple[Path, str]]:
@@ -140,33 +238,48 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def store_dedup(files, dest, repo_id: str, root=None) -> BinaryIndex:
-    """Copy .wasm files into dest under their content hash; idempotent."""
+def store_dedup(files, dest, repo_id: str, root=None, wat: WatConversion | None = None) -> BinaryIndex:
+    """Copy .wasm files into dest under their content hash; idempotent.
+
+    `wat`, the outcome of convert_wat for this repo, is recorded in the
+    index under the same lock. Returns a copy of the updated index.
+    """
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
+    path = _index_path(dest)
     with _DatasetLock(dest):
-        index = load_index(dest)
-        for path in files:
-            path = Path(path)
-            digest = sha256_file(path)
-            target = dest / f"{digest}.wasm"
-            if target.exists():
-                if sha256_file(target) != digest:
-                    raise IntegrityError(
-                        f"{target} exists but its content does not hash to {digest}"
-                    )
-            else:
-                tmp = dest / f".{digest}.tmp"
-                shutil.copyfile(path, tmp)
-                os.replace(tmp, target)
-            rel = (
-                path.relative_to(root).as_posix()
-                if root is not None
-                else path.as_posix()
-            )
-            index.add_origin(digest, repo_id, rel)
-        save_index(dest, index)
-    return index
+        cached = _read_index(path)
+        index = cached.index
+        try:
+            for file in files:
+                file = Path(file)
+                digest = sha256_file(file)
+                target = dest / f"{digest}.wasm"
+                if target.exists():
+                    if sha256_file(target) != digest:
+                        raise IntegrityError(
+                            f"{target} exists but its content does not hash to {digest}"
+                        )
+                else:
+                    tmp = dest / f".{digest}.tmp"
+                    shutil.copyfile(file, tmp)
+                    os.replace(tmp, target)
+                rel = (
+                    file.relative_to(root).as_posix()
+                    if root is not None
+                    else file.as_posix()
+                )
+                index.add_origin(digest, repo_id, rel)
+            if wat is not None:
+                index.record_wat(wat)
+            data = index.render(cached.pieces)
+            _write_index(path, data)
+        except BaseException:
+            # The cached index may hold changes that never reached the file.
+            _CACHE.pop(path, None)
+            raise
+        cached.digest = hashlib.sha256(data).digest()
+        return index.copy()
 
 
 @dataclass

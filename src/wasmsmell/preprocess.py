@@ -26,18 +26,15 @@ class PreprocessResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*(?:<([^>\n]+)>|"([^"\n]+)")', re.MULTILINE)
+# Horizontal space only: a directive is one line, and a match that began on
+# an earlier blank line would report that line.
+_INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*(?:<([^>\n]+)>|"([^"\n]+)")', re.MULTILINE)
 
 
 def preprocess_lite(source) -> PreprocessResult:
     text = decode_source(source)
     index = _LineIndex(text)
     diags: list[Diagnostic] = []
-
-    includes = [
-        IncludeRef(m.group(1) or m.group(2), index.locate(m.start())[0])
-        for m in _INCLUDE_RE.finditer(text)
-    ]
 
     # Pass 1: blank comments (string-literal aware).
     out = list(text)
@@ -77,6 +74,13 @@ def preprocess_lite(source) -> PreprocessResult:
         else:
             i += 1
     text = "".join(out)
+
+    # Blanking keeps every offset, so lines still refer to the source, and
+    # an #include inside a comment is no longer there to match.
+    includes = [
+        IncludeRef(m.group(1) or m.group(2), index.locate(m.start())[0])
+        for m in _INCLUDE_RE.finditer(text)
+    ]
 
     # Pass 2: blank directive lines (plus backslash continuations).
     lines = text.split("\n")

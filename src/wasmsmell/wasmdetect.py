@@ -73,67 +73,47 @@ def _read_text(path: Path) -> str | None:
     return data.decode("utf-8", errors="replace")
 
 
-def _walk_files(root: Path) -> list[Path]:
-    return sorted(p for p in root.rglob("*") if p.is_file())
+def _line_hits(rel: str, text: str, pattern: re.Pattern) -> list[Hit]:
+    return [
+        Hit(rel, lineno, m.group())
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        for m in pattern.finditer(line)
+    ]
 
 
-def _rel(root: Path, path: Path) -> str:
-    return path.relative_to(root).as_posix()
-
-
-def scan_build_scripts(root: Path) -> list[Hit]:
+def _header_hits(rel: str, text: str) -> list[Hit]:
     hits = []
-    for path in _walk_files(root):
-        name = path.name.lower()
-        if not any(fnmatch.fnmatch(name, pat) for pat in BUILD_SCRIPT_PATTERNS):
-            continue
-        text = _read_text(path)
-        if text is None:
-            continue
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            for m in _H1_RE.finditer(line):
-                hits.append(Hit(_rel(root, path), lineno, m.group()))
-    return hits
-
-
-def scan_sources(root: Path) -> list[Hit]:
-    hits = []
-    for path in _walk_files(root):
-        if path.suffix.lower() not in SOURCE_EXTENSIONS:
-            continue
-        text = _read_text(path)
-        if text is None:
-            continue
-        for include in preprocess_lite(text).includes:
-            final = include.target.replace("\\", "/").rsplit("/", 1)[-1]
-            if final in WASM_HEADERS:
-                hits.append(Hit(_rel(root, path), include.line, include.target))
-    return hits
-
-
-def scan_js(root: Path) -> list[Hit]:
-    hits = []
-    for path in _walk_files(root):
-        if path.suffix.lower() not in JS_EXTENSIONS:
-            continue
-        text = _read_text(path)
-        if text is None:
-            continue
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            for m in _H3_RE.finditer(line):
-                hits.append(Hit(_rel(root, path), lineno, m.group()))
+    for include in preprocess_lite(text).includes:
+        final = include.target.replace("\\", "/").rsplit("/", 1)[-1]
+        if final in WASM_HEADERS:
+            hits.append(Hit(rel, include.line, include.target))
     return hits
 
 
 def classify_repo(root) -> RepoEvidence:
+    """Walk the tree once, reading each file any heuristic applies to."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"not a directory: {root}")
-    evidence = RepoEvidence(
-        h1_build_scripts=scan_build_scripts(root),
-        h2_headers=scan_sources(root),
-        h3_js_api=scan_js(root),
-    )
+    evidence = RepoEvidence()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        name = path.name.lower()
+        suffix = path.suffix.lower()
+        build = any(fnmatch.fnmatch(name, pat) for pat in BUILD_SCRIPT_PATTERNS)
+        source = suffix in SOURCE_EXTENSIONS
+        js = suffix in JS_EXTENSIONS
+        if not (build or source or js):
+            continue
+        text = _read_text(path)
+        if text is None:
+            continue
+        rel = path.relative_to(root).as_posix()
+        if build:
+            evidence.h1_build_scripts += _line_hits(rel, text, _H1_RE)
+        if source:
+            evidence.h2_headers += _header_hits(rel, text)
+        if js:
+            evidence.h3_js_api += _line_hits(rel, text, _H3_RE)
     for hit_list in (evidence.h1_build_scripts, evidence.h2_headers, evidence.h3_js_api):
         hit_list.sort(key=lambda h: (h.file, h.line))
     return evidence

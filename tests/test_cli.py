@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -144,6 +145,30 @@ def test_collect_and_integrity_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "collect", str(tree), "--dest", str(dest))
     assert code == 3
     assert "hash" in err
+
+
+def test_collect_rerun_with_failing_converter_is_idempotent(tmp_path, capsys, monkeypatch):
+    tool = tmp_path / "bin" / "failwat"
+    tool.parent.mkdir()
+    tool.write_text('#!/bin/sh\necho "syntax error" >&2\nexit 1\n')
+    tool.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tool.parent}:{os.environ['PATH']}")
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "a.wasm").write_bytes(b"\0asm1")
+    (tree / "m.wat").write_text("(module")
+    dest = tmp_path / "ds"
+    argv = ("collect", str(tree), "--dest", str(dest), "--wat2wasm", "failwat {in} {out}")
+
+    assert run_cli(capsys, *argv)[0] == 0
+    first = (dest / "index.json").read_bytes()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert (dest / "index.json").read_bytes() == first
+    assert out.encode() == first
+    (unconverted,) = json.loads(first)["wat"]["unconverted"]
+    assert unconverted["path"].endswith("m.wat")
+    assert "syntax error" in unconverted["stderr"]
 
 
 def test_collect_missing_root(capsys, tmp_path):

@@ -1,12 +1,19 @@
+import hashlib
 import json
 import os
+import signal
 import stat
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
 from wasmsmell.dataset import (
     BinaryIndex,
     IntegrityError,
+    _DatasetLock,
     convert_wat,
     load_index,
     orchestrate_build,
@@ -15,6 +22,7 @@ from wasmsmell.dataset import (
     sha256_file,
     store_dedup,
 )
+from wasmsmell.report import canonical_json
 
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -114,6 +122,167 @@ def test_index_roundtrip(tmp_path):
     assert loaded.to_dict() == idx.to_dict()
     doc = json.loads((tmp_path / "index.json").read_text())
     assert doc["schema_version"] == 1
+
+
+def assert_canonical(dest):
+    data = (dest / "index.json").read_bytes()
+    assert data == canonical_json(BinaryIndex.from_dict(json.loads(data)).to_dict())
+    return data
+
+
+def blob(tmp_path, name, payload):
+    path = tmp_path / "src" / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(payload)
+    return path
+
+
+def test_index_bytes_canonical_after_every_store(tmp_path):
+    dest = tmp_path / "dataset"
+    store_dedup([], dest, "nobody")
+    assert assert_canonical(dest) == canonical_json(BinaryIndex().to_dict())
+
+    preload = BinaryIndex()
+    for i in range(300):
+        preload.add_origin(hashlib.sha256(b"pre-%d" % i).hexdigest(), f"repo-{i % 7}", f"büild/m{i}.wasm")
+    preload.wat_unconverted.append({"path": "ünï.wat", "stderr": "bad\n"})
+    save_index(dest, preload)
+    assert_canonical(dest)
+
+    calls = [
+        ([blob(tmp_path, "ñew/α.wasm", b"fresh-1")], "répo-a"),
+        ([blob(tmp_path, "dup.wasm", b"pre-5")], "répo-b"),  # a hash already indexed
+        ([blob(tmp_path, "x.wasm", b"fresh-2"), blob(tmp_path, "y.wasm", b"pre-5")], "z"),
+        ([blob(tmp_path, "dup.wasm", b"pre-5")], "répo-b"),  # no change at all
+        ([], "nobody"),
+    ]
+    for files, repo in calls:
+        index = store_dedup(files, dest, repo, root=tmp_path / "src")
+        assert assert_canonical(dest) == canonical_json(index.to_dict())
+    origins = index.entries[hashlib.sha256(b"pre-5").hexdigest()]
+    assert [o["repo"] for o in origins] == ["repo-5", "répo-b", "z"]
+    assert len(index.entries) == 302
+
+
+def test_index_rewritten_behind_cache_is_reread(tmp_path):
+    dest = tmp_path / "dataset"
+    store_dedup([blob(tmp_path, "a.wasm", b"one")], dest, "repo-a")
+    path = dest / "index.json"
+    before = path.stat()
+    data = path.read_bytes()
+    with open(path, "r+b") as fh:  # same length, in place, same mtime
+        fh.write(data.replace(b'"repo-a"', b'"repo-q"'))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+
+    assert [o["repo"] for (o,) in load_index(dest).entries.values()] == ["repo-q"]
+    index = store_dedup([blob(tmp_path, "b.wasm", b"two")], dest, "repo-b")
+    assert sorted(o["repo"] for origins in index.entries.values() for o in origins) == [
+        "repo-b", "repo-q",
+    ]
+    assert_canonical(dest)
+
+
+def test_changing_returned_index_does_not_leak(tmp_path):
+    dest = tmp_path / "dataset"
+    a = blob(tmp_path, "a.wasm", b"one")
+    index = store_dedup([a], dest, "repo-a")
+    snapshot = (dest / "index.json").read_bytes()
+    (origins,) = index.entries.values()
+    origins.append({"repo": "intruder", "path": "x"})
+    index.entries["ff" * 32] = [{"repo": "intruder", "path": "y"}]
+    index.wat_converted = 9
+    index.wat_unconverted.append({"path": "z.wat", "stderr": ""})
+    loaded = load_index(dest)
+    loaded.entries.clear()
+
+    assert canonical_json(load_index(dest).to_dict()) == snapshot
+    store_dedup([a], dest, "repo-a")
+    assert (dest / "index.json").read_bytes() == snapshot
+
+
+def test_failed_store_leaves_index_unchanged(tmp_path):
+    dest = tmp_path / "dataset"
+    a = blob(tmp_path, "a.wasm", b"one")
+    store_dedup([a], dest, "repo-a")
+    snapshot = (dest / "index.json").read_bytes()
+    next(dest.glob("*.wasm")).write_bytes(b"tampered")
+    with pytest.raises(IntegrityError):
+        store_dedup([blob(tmp_path, "b.wasm", b"two"), a], dest, "repo-b")
+    assert (dest / "index.json").read_bytes() == snapshot
+    assert canonical_json(load_index(dest).to_dict()) == snapshot
+
+
+def test_lock_of_killed_holder_is_released(tmp_path):
+    dest = tmp_path / "dataset"
+    dest.mkdir()
+    holder = subprocess.Popen(
+        [sys.executable, "-c", (
+            "import fcntl, os, sys, time\n"
+            "fd = os.open(sys.argv[1], os.O_RDONLY)\n"
+            "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+            "print('locked', flush=True)\n"
+            "time.sleep(60)\n"
+        ), str(dest)],
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert holder.stdout.readline().strip() == "locked"
+        with pytest.raises(TimeoutError):
+            with _DatasetLock(dest, timeout=0.2):
+                pass
+    finally:
+        holder.send_signal(signal.SIGKILL)
+        holder.wait(timeout=10)
+        holder.stdout.close()
+    started = time.monotonic()
+    store_dedup([blob(tmp_path, "a.wasm", b"one")], dest, "repo-a")
+    assert time.monotonic() - started < 5
+    assert [p.name for p in dest.iterdir() if p.name.startswith(".")] == []
+
+
+def test_concurrent_writers_lose_no_origin(tmp_path):
+    dest = tmp_path / "dataset"
+    dest.mkdir()
+    n = 15
+
+    def store_all(worker):
+        for i in range(n):
+            store_dedup([blob(tmp_path, f"{worker}/{i}.wasm", b"%s-%d" % (worker.encode(), i))],
+                        dest, worker, root=tmp_path / "src")
+
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from wasmsmell.dataset import store_dedup\n"
+        "tmp, worker, n = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])\n"
+        "for i in range(n):\n"
+        "    f = tmp / 'src' / worker / f'{i}.wasm'\n"
+        "    f.parent.mkdir(parents=True, exist_ok=True)\n"
+        "    f.write_bytes(b'%s-%d' % (worker.encode(), i))\n"
+        "    store_dedup([f], tmp / 'dataset', worker, root=tmp / 'src')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", code, str(tmp_path), f"proc{k}", str(n)], env=env)
+        for k in range(2)
+    ]
+    threads = [threading.Thread(target=store_all, args=(f"thread{k}",)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [p.wait(timeout=60) for p in procs] == [0, 0]
+
+    index = load_index(dest)
+    assert sum(len(origins) for origins in index.entries.values()) == 4 * n
+    assert len(index.entries) == 4 * n
+    assert_canonical(dest)
 
 
 def write_script(path, body):

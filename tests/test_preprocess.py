@@ -51,3 +51,9 @@ def test_unterminated_block_comment_does_not_raise():
     out = preprocess_lite("int a;\n/* never closed\nint b;")
     assert "int a;" in out.text
     assert "int b;" not in out.text
+
+
+def test_include_inside_block_comment_not_recorded():
+    src = "/*\n#include <emscripten.h>\n*/\n\n#include <stdio.h>\n"
+    out = preprocess_lite(src)
+    assert [(i.target, i.line) for i in out.includes] == [("stdio.h", 5)]

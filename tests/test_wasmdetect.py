@@ -57,6 +57,12 @@ def test_h2_include_inside_comment_ignored(tmp_path):
     assert not classify_repo(tmp_path).targeting
 
 
+def test_h2_include_inside_multiline_comment_ignored(tmp_path):
+    write(tmp_path, "a.c", "/*\n#include <emscripten.h>\n*/\nint x;\n")
+    ev = classify_repo(tmp_path)
+    assert not ev.targeting and ev.h2_headers == []
+
+
 def test_h3_js_api(tmp_path):
     write(tmp_path, "web/load.js", 'const m = await WebAssembly.instantiateStreaming(fetch("a.wasm"));\n')
     ev = classify_repo(tmp_path)
@@ -105,3 +111,10 @@ def test_multiple_heuristics_combined(tmp_path):
     ev = classify_repo(tmp_path)
     assert ev.h1_build_scripts and ev.h2_headers and ev.h3_js_api
     assert ev.to_dict()["verdict"] == "targeting"
+
+
+def test_one_file_can_hit_two_heuristics(tmp_path):
+    write(tmp_path, "makefile.c", "#include <emscripten.h>\n// built with emcc\n")
+    ev = classify_repo(tmp_path)
+    assert [(h.file, h.line) for h in ev.h1_build_scripts] == [("makefile.c", 2)]
+    assert [(h.file, h.line) for h in ev.h2_headers] == [("makefile.c", 1)]
