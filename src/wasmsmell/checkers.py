@@ -1,7 +1,8 @@
 """Smell detectors for C/C++ code headed to WebAssembly.
 
-Two tiers: structural checkers walk the AST with a declared-type table;
-flow checkers subscribe to engine events and reason per path.
+CHECKER_DEFS is the one registry of ids, CWEs and defaults. Structural
+checkers walk the AST with a declared-type table; flow checkers
+implement engine hooks, reason per path, and get their CWE from it.
 """
 
 from __future__ import annotations
@@ -21,25 +22,24 @@ from .report import Finding
 class CheckerDef:
     id: str
     cwe: int | None
-    tier: str  # "structural" | "flow"
     default_enabled: bool
     description: str
 
 
 CHECKER_DEFS = [
-    CheckerDef("access-env", None, "structural", True, "call to getenv()"),
-    CheckerDef("pointer-subtraction", 469, "structural", True, "pointer minus pointer"),
-    CheckerDef("format-arg-count", 685, "structural", True, "too few format arguments"),
-    CheckerDef("format-arg-type", 688, "structural", True, "format/argument type mismatch"),
-    CheckerDef("double-free", 415, "flow", True, "free() of an already-freed buffer"),
-    CheckerDef("double-fclose", 675, "flow", True, "fclose() of an already-closed stream"),
-    CheckerDef("error-without-action", 390, "flow", True, "fclose() without null check after fopen"),
-    CheckerDef("improper-resource-shutdown", 404, "flow", True, "fclose() on an int file descriptor"),
-    CheckerDef("uninitialized-variable", 457, "flow", True, "read of an uninitialized variable"),
-    CheckerDef("bad-fputs-comparison", 235, "flow", True, "fputs() result compared to 0"),
-    CheckerDef("wide-string", None, "flow", True, "wprintf() without a prior fwide()"),
-    CheckerDef("alloca-free", 590, "flow", False, "free() of stack memory from alloca"),
-    CheckerDef("offset-free", 761, "flow", False, "free() of an offset into an allocation"),
+    CheckerDef("access-env", None, True, "call to getenv()"),
+    CheckerDef("pointer-subtraction", 469, True, "pointer minus pointer"),
+    CheckerDef("format-arg-count", 685, True, "too few format arguments"),
+    CheckerDef("format-arg-type", 688, True, "format/argument type mismatch"),
+    CheckerDef("double-free", 415, True, "free() of an already-freed buffer"),
+    CheckerDef("double-fclose", 675, True, "fclose() of an already-closed stream"),
+    CheckerDef("error-without-action", 390, True, "fclose() without null check after fopen"),
+    CheckerDef("improper-resource-shutdown", 404, True, "fclose() on an int file descriptor"),
+    CheckerDef("uninitialized-variable", 457, True, "read of an uninitialized variable"),
+    CheckerDef("bad-fputs-comparison", 235, True, "fputs() result compared to 0"),
+    CheckerDef("wide-string", None, True, "wprintf() without a prior fwide()"),
+    CheckerDef("alloca-free", 590, False, "free() of stack memory from alloca"),
+    CheckerDef("offset-free", 761, False, "free() of an offset into an allocation"),
 ]
 
 CHECKERS_BY_ID = {d.id: d for d in CHECKER_DEFS}
@@ -69,7 +69,6 @@ def validate_checker_ids(ids) -> list[str]:
 
 class DoubleFreeChecker(Checker):
     id = "double-free"
-    cwe = 415
 
     def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
         if callee == "free" and arg_syms:
@@ -79,7 +78,6 @@ class DoubleFreeChecker(Checker):
 
 class DoubleFcloseChecker(Checker):
     id = "double-fclose"
-    cwe = 675
 
     def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
         if callee == "fclose" and arg_syms:
@@ -89,7 +87,6 @@ class DoubleFcloseChecker(Checker):
 
 class ErrorWithoutActionChecker(Checker):
     id = "error-without-action"
-    cwe = 390
 
     def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
         if callee != "fclose" or not arg_syms:
@@ -106,7 +103,6 @@ class ErrorWithoutActionChecker(Checker):
 
 class ImproperResourceShutdownChecker(Checker):
     id = "improper-resource-shutdown"
-    cwe = 404
 
     def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
         if callee == "fclose" and arg_syms and arg_syms[0] in state.fd_int:
@@ -119,7 +115,6 @@ class ImproperResourceShutdownChecker(Checker):
 
 class UninitializedVariableChecker(Checker):
     id = "uninitialized-variable"
-    cwe = 457
 
     def variable_read(self, ctx, state, var, sym, span):
         if state.init.get(sym) is not Init.UNINIT:
@@ -132,7 +127,6 @@ class UninitializedVariableChecker(Checker):
 
 class BadFputsComparisonChecker(Checker):
     id = "bad-fputs-comparison"
-    cwe = 235
 
     def branch_assumed(self, ctx, state, expr, taken, span):
         if expr.kind != "Binary" or expr.value not in ("==", "!="):
@@ -154,7 +148,6 @@ class BadFputsComparisonChecker(Checker):
 
 class WideStringChecker(Checker):
     id = "wide-string"
-    cwe = None
 
     def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
         if callee == "wprintf" and "fwide-called" not in state.flags:
@@ -163,8 +156,6 @@ class WideStringChecker(Checker):
 
 class AllocaFreeChecker(Checker):
     id = "alloca-free"
-    cwe = 590
-    default_enabled = False
 
     def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
         if callee != "free" or not arg_syms:
@@ -176,8 +167,6 @@ class AllocaFreeChecker(Checker):
 
 class OffsetFreeChecker(Checker):
     id = "offset-free"
-    cwe = 761
-    default_enabled = False
 
     def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
         if callee != "free" or not arg_syms:
@@ -211,7 +200,11 @@ FLOW_CHECKER_CLASSES = {
 
 def make_flow_checkers(enabled_ids) -> list[Checker]:
     """Fresh instances per function analysis; checkers hold no cross-function state."""
-    return [FLOW_CHECKER_CLASSES[cid]() for cid in enabled_ids if cid in FLOW_CHECKER_CLASSES]
+    return [
+        FLOW_CHECKER_CLASSES[cid](CHECKERS_BY_ID[cid].cwe)
+        for cid in enabled_ids
+        if cid in FLOW_CHECKER_CLASSES
+    ]
 
 
 # -- structural checkers ---------------------------------------------------

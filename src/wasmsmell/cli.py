@@ -167,11 +167,11 @@ def cmd_collect(args) -> int:
     wasm_files = [p for p, kind in found if kind == "wasm"]
     wat_files = [p for p, kind in found if kind == "wat"]
     try:
-        index = ds.store_dedup(wasm_files, dest, repo_id, root=root)
+        conversion = None
         if wat_files:
             converter = None if args.no_convert else args.wat2wasm
             conversion = ds.convert_wat(wat_files, dest / ".wat-work", converter)
-            index = ds.store_dedup(conversion.converted, dest, repo_id, wat=conversion)
+        index = ds.store_dedup(wasm_files, dest, repo_id, root=root, wat=conversion)
     except ds.IntegrityError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INTEGRITY

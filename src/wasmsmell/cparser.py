@@ -149,19 +149,7 @@ class Parser:
         if self.is_type_token(t):
             return True
         # Heuristic: unknown identifier followed by '*'+ identifier.
-        if t.kind == KIND_IDENT:
-            i = 1
-            saw_star = False
-            while True:
-                nxt = self.peek(i)
-                if nxt is None:
-                    return False
-                if nxt.lexeme == "*":
-                    saw_star = True
-                    i += 1
-                    continue
-                return saw_star and nxt.kind == KIND_IDENT
-        return False
+        return t.kind == KIND_IDENT and self._ident_type_heuristic()
 
     # -- entry point ----------------------------------------------------
 

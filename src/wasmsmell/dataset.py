@@ -53,19 +53,21 @@ class BinaryIndex:
     # hashes whose origins add_origin changed since the last render
     _dirty: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
-    def add_origin(self, digest: str, repo: str, path: str):
+    def add_origin(self, digest: str, repo: str, path: str) -> bool:
+        """Record one origin of a stored blob; True if it was not known yet."""
         origins = self.entries.setdefault(digest, [])
         origin = {"repo": repo, "path": path}
-        if origin not in origins:
-            origins.append(origin)
-            origins.sort(key=lambda o: (o["repo"], o["path"]))
-            self._dirty.add(digest)
+        if origin in origins:
+            return False
+        origins.append(origin)
+        origins.sort(key=lambda o: (o["repo"], o["path"]))
+        self._dirty.add(digest)
+        return True
 
-    def record_wat(self, conversion: WatConversion):
-        """Count converted modules; a path that fails again replaces its entry."""
-        self.wat_converted += len(conversion.converted)
-        by_path = {u["path"]: u for u in self.wat_unconverted + conversion.unconverted}
-        self.wat_unconverted = list(by_path.values())
+    def record_wat(self, converted: set[str], unconverted: list[dict]):
+        """Keep each .wat path's latest failure; drop the paths that converted."""
+        by_path = {u["path"]: u for u in self.wat_unconverted + unconverted}
+        self.wat_unconverted = [u for path, u in by_path.items() if path not in converted]
 
     def copy(self) -> "BinaryIndex":
         """A copy whose lists the caller may change; origin dicts are shared."""
@@ -241,37 +243,33 @@ def sha256_file(path: Path) -> str:
 def store_dedup(files, dest, repo_id: str, root=None, wat: WatConversion | None = None) -> BinaryIndex:
     """Copy .wasm files into dest under their content hash; idempotent.
 
-    `wat`, the outcome of convert_wat for this repo, is recorded in the
-    index under the same lock. Returns a copy of the updated index.
+    Origin paths are relative to `root` when it is given. `wat`, the
+    outcome of convert_wat for this repo, is stored under the same lock:
+    each produced module under the path of its .wat, counted as converted
+    only when that origin is new. Returns a copy of the updated index.
     """
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
     path = _index_path(dest)
+
+    def origin(file) -> str:
+        file = Path(file)
+        return file.relative_to(root).as_posix() if root is not None else file.as_posix()
+
     with _DatasetLock(dest):
         cached = _read_index(path)
         index = cached.index
         try:
             for file in files:
-                file = Path(file)
-                digest = sha256_file(file)
-                target = dest / f"{digest}.wasm"
-                if target.exists():
-                    if sha256_file(target) != digest:
-                        raise IntegrityError(
-                            f"{target} exists but its content does not hash to {digest}"
-                        )
-                else:
-                    tmp = dest / f".{digest}.tmp"
-                    shutil.copyfile(file, tmp)
-                    os.replace(tmp, target)
-                rel = (
-                    file.relative_to(root).as_posix()
-                    if root is not None
-                    else file.as_posix()
-                )
-                index.add_origin(digest, repo_id, rel)
+                index.add_origin(_store_blob(dest, Path(file)), repo_id, origin(file))
             if wat is not None:
-                index.record_wat(wat)
+                for source, output in wat.converted:
+                    if index.add_origin(_store_blob(dest, output), repo_id, origin(source)):
+                        index.wat_converted += 1
+                index.record_wat(
+                    {origin(source) for source, _ in wat.converted},
+                    [dict(u, path=origin(u["path"])) for u in wat.unconverted],
+                )
             data = index.render(cached.pieces)
             _write_index(path, data)
         except BaseException:
@@ -282,9 +280,23 @@ def store_dedup(files, dest, repo_id: str, root=None, wat: WatConversion | None 
         return index.copy()
 
 
+def _store_blob(dest: Path, file: Path) -> str:
+    """Copy file into dest as <sha256>.wasm unless present; returns the hash."""
+    digest = sha256_file(file)
+    target = dest / f"{digest}.wasm"
+    if target.exists():
+        if sha256_file(target) != digest:
+            raise IntegrityError(f"{target} exists but its content does not hash to {digest}")
+    else:
+        tmp = dest / f".{digest}.tmp"
+        shutil.copyfile(file, tmp)
+        os.replace(tmp, target)
+    return digest
+
+
 @dataclass
 class WatConversion:
-    converted: list[Path] = field(default_factory=list)  # produced .wasm files
+    converted: list[tuple[Path, Path]] = field(default_factory=list)  # (.wat, produced .wasm)
     unconverted: list[dict] = field(default_factory=list)  # {"path", "stderr"}
     skipped: list[Path] = field(default_factory=list)  # converter unavailable
 
@@ -314,7 +326,7 @@ def convert_wat(files, work_dir, converter: str | None = DEFAULT_WAT2WASM) -> Wa
             result.unconverted.append({"path": path.as_posix(), "stderr": str(err)})
             continue
         if proc.returncode == 0 and out_path.exists():
-            result.converted.append(out_path)
+            result.converted.append((path, out_path))
         else:
             stderr = proc.stderr.decode("utf-8", errors="replace")[:OUTPUT_TRUNCATE]
             result.unconverted.append({"path": path.as_posix(), "stderr": stderr})

@@ -1,8 +1,10 @@
 """Bounded path-sensitive walker over FlowGraphs.
 
 Enumerates execution paths depth-first, keeping one symbolic store per
-path. Registered checkers subscribe to call, branch, read, and
-end-of-path events and emit findings; the engine owns all resource,
+path. Flow checkers see three hooks: ``pre_call`` before each call's
+effects, ``branch_assumed`` after a branch condition is assumed, and
+``variable_read`` on each read of a declared variable. They inspect the
+path state and report findings; the engine owns all resource,
 initialization, and null-constraint transitions.
 """
 
@@ -20,7 +22,6 @@ from .cfg import (
     CondBranch,
     DeclType,
     FlowGraph,
-    Nop,
     ReturnStmt,
 )
 from .cparser import AstNode
@@ -32,7 +33,6 @@ FILE_OPENERS = ("fopen", "freopen")
 
 
 class Resource(Enum):
-    NONE = "none"
     HEAP = "heap-allocated"
     STACK = "stack-allocated"
     FREED = "freed"
@@ -62,9 +62,7 @@ class PathState:
     origin: dict[int, str] = field(default_factory=dict)
     derived: dict[int, tuple[int, int | None]] = field(default_factory=dict)
     fd_int: set[int] = field(default_factory=set)
-    events: list[tuple[str, tuple[int, ...], Span]] = field(default_factory=list)
     flags: set[str] = field(default_factory=set)
-    slices: dict[str, dict] = field(default_factory=dict)
 
     def clone(self) -> "PathState":
         return PathState(
@@ -76,13 +74,8 @@ class PathState:
             dict(self.origin),
             dict(self.derived),
             set(self.fd_int),
-            list(self.events),
             set(self.flags),
-            {k: dict(v) for k, v in self.slices.items()},
         )
-
-    def slice_for(self, checker_id: str) -> dict:
-        return self.slices.setdefault(checker_id, {})
 
 
 @dataclass
@@ -95,22 +88,17 @@ class Budget:
 class BudgetReport:
     paths_explored: int = 0
     exhausted: bool = False
-    skipped_sites: int = 0
 
 
 class Checker:
-    """Hook surface. Checkers keep per-path data in their state slice."""
+    """Flow checker hooks: each may read the PathState and call ctx.report."""
 
     id = ""
-    cwe: int | None = None
-    tier = "flow"
-    default_enabled = True
-    message = ""
+
+    def __init__(self, cwe: int | None):
+        self.cwe = cwe
 
     def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
-        pass
-
-    def post_call(self, ctx, state, callee, arg_syms, result_sym, span):
         pass
 
     def branch_assumed(self, ctx, state, expr, taken, span):
@@ -119,16 +107,13 @@ class Checker:
     def variable_read(self, ctx, state, var, sym, span):
         pass
 
-    def end_of_path(self, ctx, state):
-        pass
-
 
 class Engine:
     def __init__(self, fg: FlowGraph, checkers: list[Checker], budget: Budget):
         self.fg = fg
         self.checkers = checkers
         self.budget = budget
-        self.findings: list[Finding] = []
+        self.findings: dict[tuple, Finding] = {}  # first finding per dedup_key
         self._next_sym = 0
 
     # -- helpers ----------------------------------------------------------
@@ -140,18 +125,11 @@ class Engine:
     def decl_of(self, var: str) -> DeclType | None:
         return self.fg.symbols.get(var)
 
-    def report(self, checker: Checker, span: Span, message: str, path_note: str | None = None):
-        self.findings.append(
-            Finding(
-                checker=checker.id,
-                cwe=checker.cwe,
-                file="",
-                line=span.line,
-                col=span.col,
-                message=message,
-                path_note=path_note,
-            )
+    def report(self, checker: Checker, span: Span, message: str):
+        f = Finding(
+            checker=checker.id, cwe=checker.cwe, file="", line=span.line, col=span.col, message=message
         )
+        self.findings.setdefault(f.dedup_key, f)
 
     def base_offset(self, state: PathState, sym: int) -> tuple[int, int | None]:
         seen = set()
@@ -300,7 +278,7 @@ class Engine:
 
     # -- transfer -----------------------------------------------------------
 
-    def apply_transfer(self, state: PathState, stmt) -> PathState:
+    def apply_transfer(self, state: PathState, stmt):
         if isinstance(stmt, Assign):
             self._transfer_assign(state, stmt)
         elif isinstance(stmt, CallStmt):
@@ -308,9 +286,6 @@ class Engine:
         elif isinstance(stmt, ReturnStmt):
             if stmt.expr is not None:
                 self.eval_expr(state, stmt.expr)
-        elif isinstance(stmt, Nop):
-            pass
-        return state
 
     def _transfer_assign(self, state: PathState, stmt: Assign):
         if stmt.expr is None:
@@ -331,7 +306,6 @@ class Engine:
         arg_syms = [self.eval_expr(state, a) for a in stmt.args]
         for c in self.checkers:
             c.pre_call(self, state, callee, arg_syms, stmt.args, stmt.span)
-        state.events.append((callee, tuple(arg_syms), stmt.span))
 
         result = self.new_value(state, origin=callee)
         if callee in HEAP_ALLOCATORS:
@@ -356,8 +330,6 @@ class Engine:
 
         if stmt.target is not None:
             state.bindings[stmt.target] = result
-        for c in self.checkers:
-            c.post_call(self, state, callee, arg_syms, result, stmt.span)
 
     # -- branch assumptions ----------------------------------------------
 
@@ -420,7 +392,7 @@ class Engine:
             if isinstance(term, ReturnStmt):
                 if term.expr is not None:
                     self.eval_expr(state, term.expr)
-                self._end_path(state, report)
+                report.paths_explored += 1
                 continue
 
             succs = self.fg.successors(block_id)
@@ -439,23 +411,17 @@ class Engine:
                     if child is not None:
                         children.append(child)
                 if not children:
-                    self._end_path(state, report)
+                    report.paths_explored += 1
                 for child in reversed(children):  # LIFO: true branch first
                     stack.append(child)
-            elif succs:
-                followed = False
-                for edge in succs[:1]:
-                    child = self._follow(edge, state, backcounts)
-                    if child is not None:
-                        stack.append(child)
-                        followed = True
-                if not followed:
-                    self._end_path(state, report)
             else:
-                self._end_path(state, report)
+                child = self._follow(succs[0], state, backcounts) if succs else None
+                if child is None:
+                    report.paths_explored += 1
+                else:
+                    stack.append(child)
 
-        self.findings = dedup_findings(self.findings)
-        return self.findings, report
+        return sorted(self.findings.values(), key=lambda f: f.sort_key), report
 
     def _follow(self, edge, state: PathState, backcounts: dict):
         counts = backcounts
@@ -475,23 +441,6 @@ class Engine:
             counts = dict(counts)
             counts[key] = taken + 1
         return (edge.dst, state, counts)
-
-    def _end_path(self, state: PathState, report: BudgetReport):
-        for c in self.checkers:
-            c.end_of_path(self, state)
-        report.paths_explored += 1
-
-
-def dedup_findings(findings: list[Finding]) -> list[Finding]:
-    seen = set()
-    out = []
-    for f in findings:
-        key = (f.checker, f.file, f.line, f.col, f.message)
-        if key not in seen:
-            seen.add(key)
-            out.append(f)
-    out.sort(key=lambda f: (f.file, f.line, f.col, f.checker))
-    return out
 
 
 def analyze_function(

@@ -21,7 +21,6 @@ class Finding:
     line: int  # 1-based
     col: int  # 1-based
     message: str
-    path_note: str | None = None
 
     @property
     def dedup_key(self):
@@ -32,7 +31,7 @@ class Finding:
         return (self.file, self.line, self.col, self.checker)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "checker": self.checker,
             "cwe": self.cwe,
             "file": self.file,
@@ -40,9 +39,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
         }
-        if self.path_note:
-            d["path_note"] = self.path_note
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Finding":
@@ -53,7 +49,6 @@ class Finding:
             line=d["line"],
             col=d["col"],
             message=d["message"],
-            path_note=d.get("path_note"),
         )
 
 

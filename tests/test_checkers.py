@@ -72,6 +72,15 @@ def test_optional_fixture_silent_by_default(name):
     assert result.findings == []
 
 
+def test_findings_carry_registry_cwe():
+    findings = []
+    for name in sorted(GOLDEN_MATRIX) + sorted(OPTIONAL_MATRIX):
+        findings += analyze_fixture(SMELLS / name, checker_ids=all_checker_ids()).findings
+    assert {f.checker for f in findings} == set(all_checker_ids())
+    for f in findings:
+        assert f.cwe == CHECKERS_BY_ID[f.checker].cwe, f
+
+
 @pytest.mark.parametrize("path", sorted(NEGATIVE.glob("*.c")), ids=lambda p: p.name)
 def test_negative_fixture_clean_under_all_checkers(path):
     result = analyze_fixture(path, checker_ids=all_checker_ids())

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from conftest import SMELLS
+from conftest import FIXTURES, SMELLS
+from wasmsmell.checkers import all_checker_ids
 from wasmsmell.cli import main
 
 CLEAN = b"int add(int a, int b) { return a + b; }\n"
@@ -84,6 +85,19 @@ def test_analyze_enables_optional_checker(capsys):
     )
     assert code == 1
     assert json.loads(out)["stats"] == {"alloca-free": 1}
+
+
+@pytest.mark.parametrize("fmt,expected", [("json", "report.json"), ("text", "report.txt")])
+def test_analyze_fixtures_report_bytes_pinned(fmt, expected, tmp_path, capsys):
+    # tests/fixtures/expected/ holds this same command's output, so any
+    # change to what the report says or how it is rendered shows here.
+    dest = tmp_path / expected
+    code, _, _ = run_cli(
+        capsys, "analyze", str(FIXTURES), "--checkers", ",".join(all_checker_ids()),
+        "--format", fmt, "--out", str(dest),
+    )
+    assert code == 1
+    assert dest.read_bytes() == (FIXTURES / "expected" / expected).read_bytes()
 
 
 def test_detect_wasm_exit_codes(tmp_path, capsys):
@@ -169,6 +183,50 @@ def test_collect_rerun_with_failing_converter_is_idempotent(tmp_path, capsys, mo
     (unconverted,) = json.loads(first)["wat"]["unconverted"]
     assert unconverted["path"].endswith("m.wat")
     assert "syntax error" in unconverted["stderr"]
+
+
+def fake_converter(tmp_path, monkeypatch, name, body):
+    tool = tmp_path / "bin" / name
+    tool.parent.mkdir(exist_ok=True)
+    tool.write_text("#!/bin/sh\n" + body)
+    tool.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tool.parent}:{os.environ['PATH']}")
+
+
+def test_collect_counts_a_converted_wat_once_under_its_own_path(tmp_path, capsys, monkeypatch):
+    fake_converter(tmp_path, monkeypatch, "cpwat", 'cp "$1" "$2"\n')
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "m.wat").write_text("(module)")
+    dest = tmp_path / "ds"
+    argv = ("collect", str(tree), "--dest", str(dest), "--wat2wasm", "cpwat {in} {out}")
+
+    written = []
+    for _ in range(3):
+        assert run_cli(capsys, *argv)[0] == 0
+        written.append((dest / "index.json").read_bytes())
+    assert written[1] == written[2]
+    doc = json.loads(written[2])
+    assert doc["wat"] == {"converted": 1, "unconverted": []}
+    (entry,) = doc["entries"]
+    assert entry["origins"] == [{"repo": "tree", "path": "m.wat"}]
+
+
+def test_collect_drops_unconverted_wat_once_it_converts(tmp_path, capsys, monkeypatch):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "m.wat").write_text("(module)")
+    dest = tmp_path / "ds"
+    argv = ("collect", str(tree), "--dest", str(dest), "--wat2wasm", "flakywat {in} {out}")
+
+    fake_converter(tmp_path, monkeypatch, "flakywat", 'echo "syntax error" >&2\nexit 1\n')
+    assert run_cli(capsys, *argv)[0] == 0
+    (unconverted,) = json.loads((dest / "index.json").read_bytes())["wat"]["unconverted"]
+    assert unconverted["path"] == "m.wat"
+
+    fake_converter(tmp_path, monkeypatch, "flakywat", 'cp "$1" "$2"\n')
+    assert run_cli(capsys, *argv)[0] == 0
+    assert json.loads((dest / "index.json").read_bytes())["wat"] == {"converted": 1, "unconverted": []}
 
 
 def test_collect_missing_root(capsys, tmp_path):

@@ -298,8 +298,9 @@ def test_convert_wat_with_working_converter(tmp_path, monkeypatch):
     wat = tmp_path / "m.wat"
     wat.write_text("(module)")
     result = convert_wat([wat], tmp_path / "work", "fakewat {in} {out}")
-    assert len(result.converted) == 1
-    assert result.converted[0].read_text() == "(module)"
+    ((source, output),) = result.converted
+    assert source == wat
+    assert output.read_text() == "(module)"
     assert result.unconverted == [] and result.skipped == []
 
 

@@ -3,9 +3,8 @@ import pytest
 from wasmsmell import analyze_source
 from wasmsmell.cfg import build_cfg
 from wasmsmell.cparser import parse_source
-from wasmsmell.engine import Budget, analyze_function, dedup_findings
+from wasmsmell.engine import Budget, analyze_function
 from wasmsmell.checkers import make_flow_checkers, default_checker_ids
-from wasmsmell.report import Finding
 
 
 def run(src: str, checker_ids=None, budget=None):
@@ -143,12 +142,20 @@ def test_uninit_on_one_path_only():
     assert {f.checker for f in findings} == {"uninitialized-variable"}
 
 
-def test_dedup_findings_orders_and_dedups():
-    a = Finding("double-free", 415, "b.c", 2, 1, "m")
-    b = Finding("double-free", 415, "a.c", 9, 1, "m")
-    c = Finding("double-free", 415, "b.c", 2, 1, "m")
-    out = dedup_findings([a, b, c])
-    assert [f.file for f in out] == ["a.c", "b.c"]
+def test_finding_on_every_path_reported_once():
+    src = """
+    int f(int a, int b) {
+        char *p = (char *)malloc(8);
+        if (a) { use(a); }
+        if (b) { use(b); }
+        free(p);
+        free(p);
+        return 0;
+    }
+    """
+    findings, report = run(src)
+    assert report.paths_explored == 4
+    assert [(f.checker, f.line) for f in findings] == [("double-free", 7)]
 
 
 def test_analyze_source_stamps_relative_path():
