@@ -150,9 +150,15 @@ class FlowGraph:
     symbols: dict[str, DeclType]  # unique var name -> declared type
     params: list[str]
     loop_entries: dict[int, int] = field(default_factory=dict)  # body block -> header
+    _succ: dict[int, list[Edge]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._succ = {}
+        for e in self.edges:
+            self._succ.setdefault(e.src, []).append(e)
 
     def successors(self, block_id: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == block_id]
+        return self._succ.get(block_id, [])
 
 
 class _Lowerer:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from . import dataset as ds
@@ -167,18 +168,21 @@ def cmd_collect(args) -> int:
     wasm_files = [p for p, kind in found if kind == "wasm"]
     wat_files = [p for p, kind in found if kind == "wat"]
     try:
-        conversion = None
-        if wat_files:
-            converter = None if args.no_convert else args.wat2wasm
-            conversion = ds.convert_wat(wat_files, dest / ".wat-work", converter)
-        index = ds.store_dedup(wasm_files, dest, repo_id, root=root, wat=conversion)
+        # Converted modules live only until they are stored; a private
+        # directory keeps concurrent collects from sharing file names.
+        with tempfile.TemporaryDirectory(prefix="wasmsmell-wat-") as work:
+            conversion = None
+            if wat_files:
+                converter = None if args.no_convert else args.wat2wasm
+                conversion = ds.convert_wat(wat_files, work, converter)
+            _, data = ds.store_dedup_rendered(wasm_files, dest, repo_id, root=root, wat=conversion)
     except ds.IntegrityError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INTEGRITY
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    _write_output(canonical_json(index.to_dict()), args.out)
+    _write_output(data, args.out)
     return EXIT_OK
 
 

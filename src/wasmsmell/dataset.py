@@ -248,6 +248,13 @@ def store_dedup(files, dest, repo_id: str, root=None, wat: WatConversion | None 
     each produced module under the path of its .wat, counted as converted
     only when that origin is new. Returns a copy of the updated index.
     """
+    return store_dedup_rendered(files, dest, repo_id, root, wat)[0]
+
+
+def store_dedup_rendered(
+    files, dest, repo_id: str, root=None, wat: WatConversion | None = None
+) -> tuple[BinaryIndex, bytes]:
+    """store_dedup, also returning the bytes it wrote to index.json."""
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
     path = _index_path(dest)
@@ -277,7 +284,7 @@ def store_dedup(files, dest, repo_id: str, root=None, wat: WatConversion | None 
             _CACHE.pop(path, None)
             raise
         cached.digest = hashlib.sha256(data).digest()
-        return index.copy()
+        return index.copy(), data
 
 
 def _store_blob(dest: Path, file: Path) -> str:

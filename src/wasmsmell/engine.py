@@ -3,9 +3,22 @@
 Enumerates execution paths depth-first, keeping one symbolic store per
 path. Flow checkers see three hooks: ``pre_call`` before each call's
 effects, ``branch_assumed`` after a branch condition is assumed, and
-``variable_read`` on each read of a declared variable. They inspect the
-path state and report findings; the engine owns all resource,
-initialization, and null-constraint transitions.
+``variable_read`` on each read of a declared variable. Each hook goes
+only to the checkers that override it. They inspect the path state and
+report findings; the engine owns all resource, initialization, and
+null-constraint transitions.
+
+At join blocks (two or more incoming edges) the walk is memoized: a
+finished subtree is recorded under (block, loop counters,
+``state_key``), and a path that reaches the same key again adds the
+recorded path count instead of walking the subtree a second time. Its
+findings are already reported, since they depend only on that key. The
+memo is exact: findings, ``paths_explored`` and ``exhausted`` equal
+those of a full walk at every budget, so findings stay monotone in
+``max_paths``, and ``paths_explored`` counts the paths represented,
+not the work done. A hit that would pass the budget stops the walk at
+``max_paths`` as the full walk would have, partway through that
+subtree.
 """
 
 from __future__ import annotations
@@ -108,11 +121,56 @@ class Checker:
         pass
 
 
+def _overriding(checkers: list[Checker], hook: str) -> list[Checker]:
+    """The checkers whose class overrides `hook`; the rest would be no-op calls."""
+    return [c for c in checkers if getattr(type(c), hook) is not getattr(Checker, hook)]
+
+
+def state_key(state: PathState) -> tuple:
+    """Canonical form of everything later steps of a path can read from `state`.
+
+    Symbols are renumbered in the order they are first reached: bindings in
+    sorted-name order, then the closure over `derived` bases. A symbol no
+    binding reaches is dead, since every later read starts from a binding
+    or a fresh symbol, so it is left out. Two states with equal keys lead
+    to the same findings and the same number of paths.
+    """
+    bindings = state.bindings
+    names = sorted(bindings)
+    number: dict[int, int] = {}
+    order: list[int] = []
+    for name in names:
+        sym = bindings[name]
+        if sym not in number:
+            number[sym] = len(order)
+            order.append(sym)
+    resource, init, nullc = state.resource.get, state.init.get, state.nullc.get
+    konst, origin, derived, fd_int = state.konst.get, state.origin.get, state.derived.get, state.fd_int
+    syms = []
+    for sym in order:  # grows as derived bases are numbered
+        d = derived(sym)
+        if d is not None:
+            base, offset = d
+            if base not in number:
+                number[base] = len(order)
+                order.append(base)
+            d = (number[base], offset)
+        syms.append((resource(sym), init(sym), nullc(sym), konst(sym), origin(sym), d, sym in fd_int))
+    return (
+        tuple(names),
+        tuple([number[bindings[name]] for name in names]),
+        tuple(syms),
+        frozenset(state.flags),
+    )
+
+
 class Engine:
     def __init__(self, fg: FlowGraph, checkers: list[Checker], budget: Budget):
         self.fg = fg
-        self.checkers = checkers
         self.budget = budget
+        self._pre_call = _overriding(checkers, "pre_call")
+        self._branch_assumed = _overriding(checkers, "branch_assumed")
+        self._variable_read = _overriding(checkers, "variable_read")
         self.findings: dict[tuple, Finding] = {}  # first finding per dedup_key
         self._next_sym = 0
 
@@ -184,8 +242,8 @@ class Engine:
                 # global / undeclared identifier: bind lazily, assumed init
                 sym = self.new_value(state, origin="extern")
                 state.bindings[name] = sym
-            if not name.startswith("%") and name in self.fg.symbols:
-                for c in self.checkers:
+            if self._variable_read and not name.startswith("%") and name in self.fg.symbols:
+                for c in self._variable_read:
                     c.variable_read(self, state, name, sym, node.span)
             return sym
         if kind == "Literal":
@@ -304,7 +362,7 @@ class Engine:
     def _transfer_call(self, state: PathState, stmt: CallStmt):
         callee = stmt.callee or "<indirect>"
         arg_syms = [self.eval_expr(state, a) for a in stmt.args]
-        for c in self.checkers:
+        for c in self._pre_call:
             c.pre_call(self, state, callee, arg_syms, stmt.args, stmt.span)
 
         result = self.new_value(state, origin=callee)
@@ -372,18 +430,50 @@ class Engine:
 
     def run(self) -> tuple[list[Finding], BudgetReport]:
         report = BudgetReport()
+        max_paths = self.budget.max_paths
         state0 = PathState()
         for var in self.fg.params:
             sym = self.new_value(state0, origin="param")
             state0.bindings[var] = sym
 
         blocks = {b.id: b for b in self.fg.blocks}
-        stack: list[tuple[int, PathState, dict]] = [(self.fg.entry, state0, {})]
+        branch_edges = {}  # CondBranch block -> (true edge, false edge)
+        for blk in self.fg.blocks:
+            if isinstance(blk.terminator, CondBranch):
+                succs = self.fg.successors(blk.id)
+                branch_edges[blk.id] = (
+                    next(e for e in succs if e.label == EDGE_TRUE),
+                    next(e for e in succs if e.label == EDGE_FALSE),
+                )
+        incoming: dict[int, int] = {}
+        for e in self.fg.edges:
+            incoming[e.dst] = incoming.get(e.dst, 0) + 1
+        joins = {b for b, n in incoming.items() if n >= 2}
+        # Paths under each finished join-block subtree, by (block, counters, state key).
+        memo: dict[tuple, int] = {}
+
+        stack: list[tuple] = [(self.fg.entry, state0, {})]
         while stack:
-            if report.paths_explored >= self.budget.max_paths:
+            block_id, state, backcounts = stack.pop()
+            if block_id is None:
+                # sentinel (None, key, paths before): that subtree is finished
+                memo[state] = report.paths_explored - backcounts
+                continue
+            if report.paths_explored >= max_paths:
                 report.exhausted = True
                 break
-            block_id, state, backcounts = stack.pop()
+            if block_id in joins:
+                key = (block_id, tuple(sorted(backcounts.items())), state_key(state))
+                n = memo.get(key)
+                if n is not None:
+                    # Its findings are already reported; only its paths remain.
+                    if report.paths_explored + n > max_paths:
+                        report.paths_explored = max_paths
+                        report.exhausted = True
+                        break
+                    report.paths_explored += n
+                    continue
+                stack.append((None, key, report.paths_explored))
             blk = blocks[block_id]
             for stmt in blk.stmts:
                 self.apply_transfer(state, stmt)
@@ -395,17 +485,14 @@ class Engine:
                 report.paths_explored += 1
                 continue
 
-            succs = self.fg.successors(block_id)
             if isinstance(term, CondBranch):
                 self.eval_expr(state, term.expr)  # reads fire once per visit
-                true_edge = next(e for e in succs if e.label == EDGE_TRUE)
-                false_edge = next(e for e in succs if e.label == EDGE_FALSE)
                 children = []
-                for taken, edge in ((True, true_edge), (False, false_edge)):
+                for taken, edge in zip((True, False), branch_edges[block_id]):
                     st = self.assume(state.clone(), term.expr, taken)
                     if st is None:
                         continue
-                    for c in self.checkers:
+                    for c in self._branch_assumed:
                         c.branch_assumed(self, st, term.expr, taken, term.span)
                     child = self._follow(edge, st, backcounts)
                     if child is not None:
@@ -415,6 +502,7 @@ class Engine:
                 for child in reversed(children):  # LIFO: true branch first
                     stack.append(child)
             else:
+                succs = self.fg.successors(block_id)
                 child = self._follow(succs[0], state, backcounts) if succs else None
                 if child is None:
                     report.paths_explored += 1

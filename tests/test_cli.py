@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -150,6 +152,7 @@ def test_collect_and_integrity_exit_codes(tmp_path, capsys):
     dest = tmp_path / "ds"
     code, out, _ = run_cli(capsys, "collect", str(tree), "--dest", str(dest))
     assert code == 0
+    assert out.encode() == (dest / "index.json").read_bytes()
     doc = json.loads(out)
     assert len(doc["entries"]) == 2
     assert sum(len(e["origins"]) for e in doc["entries"]) == 3
@@ -227,6 +230,28 @@ def test_collect_drops_unconverted_wat_once_it_converts(tmp_path, capsys, monkey
     fake_converter(tmp_path, monkeypatch, "flakywat", 'cp "$1" "$2"\n')
     assert run_cli(capsys, *argv)[0] == 0
     assert json.loads((dest / "index.json").read_bytes())["wat"] == {"converted": 1, "unconverted": []}
+
+
+def test_collect_leaves_only_stored_blobs_and_index(tmp_path, capsys, monkeypatch):
+    fake_converter(tmp_path, monkeypatch, "cpwat", 'cp "$1" "$2"\n')
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "m.wat").write_bytes(b"(module)")
+    dest = tmp_path / "ds"
+    argv = ("collect", str(tree), "--dest", str(dest), "--wat2wasm", "cpwat {in} {out}")
+
+    for _ in range(2):
+        assert run_cli(capsys, *argv)[0] == 0
+    stored = hashlib.sha256(b"(module)").hexdigest() + ".wasm"
+    assert sorted(p.name for p in dest.rglob("*")) == sorted([stored, "index.json"])
+    assert list(scratch.iterdir()) == []
+
+    (dest / stored).write_bytes(b"tampered")
+    assert run_cli(capsys, *argv)[0] == 3
+    assert list(scratch.iterdir()) == []
 
 
 def test_collect_missing_root(capsys, tmp_path):

@@ -1,10 +1,15 @@
+import dataclasses
+import json
+import time
+
 import pytest
 
+from conftest import FIXTURES
 from wasmsmell import analyze_source
 from wasmsmell.cfg import build_cfg
 from wasmsmell.cparser import parse_source
-from wasmsmell.engine import Budget, analyze_function
-from wasmsmell.checkers import make_flow_checkers, default_checker_ids
+from wasmsmell.engine import Budget, Init, Null, PathState, Resource, analyze_function, state_key
+from wasmsmell.checkers import all_checker_ids, make_flow_checkers, default_checker_ids
 
 
 def run(src: str, checker_ids=None, budget=None):
@@ -162,3 +167,134 @@ def test_analyze_source_stamps_relative_path():
     res = analyze_source(b"int f(void){char* p=(char*)malloc(4);free(p);free(p);return 0;}", "sub/x.c")
     assert res.findings
     assert all(f.file == "sub/x.c" for f in res.findings)
+
+
+# Crafted functions whose subtrees repeat at join blocks. For every max_paths
+# up to one past each function's path count, engine_budget_grid.json pins what
+# the full walk (the engine before its subtree memo) reported. Every function
+# has memo hits that land exactly on the budget and hits that overshoot it.
+# The `x = 5` branch in the loops brings a loop header back to one state under
+# different loop counters.
+GRID_FUNCTIONS = {
+    "if_chain_double_free": (2, """
+    int f(int a, int b, int c) {
+        char *p = (char *)malloc(8);
+        int x = a;
+        if (b) { x = b * 2; } else { free(p); free(p); }
+        if (a) { x = a * 3; }
+        if (c) { x = c * 3; }
+        if (a > c) { x = x * 3 + c; }
+        return x;
+    }
+    """),
+    "free_then_later_free": (2, """
+    int f(int a, int b) {
+        char *p = (char *)malloc(8);
+        int x = 0;
+        if (a) { x = a * 2; } else { free(p); }
+        if (b) { x = b * 2; } else { x = a * 2; }
+        if (b > a) { x = x * 3 + a; }
+        free(p);
+        return x;
+    }
+    """),
+    "loop_unroll_1": (1, """
+    int f(int n, int a) {
+        char *p = (char *)malloc(8);
+        int x = 0;
+        while (n) { if (a > n) { x = a * 3; } else { x = 5; } n = n - 1; }
+        if (a) { x = a * 2; } else { free(p); }
+        if (x) { x = x * 3; }
+        free(p);
+        return x;
+    }
+    """),
+    "loop_unroll_2": (2, """
+    int f(int n, int a) {
+        char *p = (char *)malloc(8);
+        int x = 0;
+        while (n) { if (a > n) { x = a * 3; } else { x = 5; } n = n - 1; }
+        if (a) { x = a * 2; } else { free(p); }
+        if (x) { x = x * 3; }
+        free(p);
+        return x;
+    }
+    """),
+    "if_in_loop": (2, """
+    int f(int n, int a) {
+        char *p = (char *)malloc(8);
+        int d;
+        while (n > 0) {
+            if (a > n) { use(a); } else { free(p); }
+            if (n) { d = n; }
+            n = n - 1;
+        }
+        use(d);
+        return 0;
+    }
+    """),
+}
+
+
+def budget_grid(src: str, unroll: int) -> list:
+    """[max_paths, sorted dedup keys, paths_explored, exhausted] for every
+    max_paths from 1 to the function's path count + 1."""
+    total = run(src, all_checker_ids(), Budget(max_paths=10**9, unroll=unroll))[1].paths_explored
+    grid = []
+    for k in range(1, total + 2):
+        findings, report = run(src, all_checker_ids(), Budget(max_paths=k, unroll=unroll))
+        keys = sorted(list(f.dedup_key) for f in findings)
+        grid.append([k, keys, report.paths_explored, report.exhausted])
+    return grid
+
+
+@pytest.mark.parametrize("name", sorted(GRID_FUNCTIONS))
+def test_budget_grid_pinned(name):
+    expected = json.loads((FIXTURES / "expected" / "engine_budget_grid.json").read_text())
+    unroll, src = GRID_FUNCTIONS[name]
+    assert budget_grid(src, unroll) == expected[name]
+
+
+def test_wide_if_chain_counts_every_path_quickly():
+    body = "".join(f"    if (a > {i}) acc = acc * 3 + k;\n" for i in range(40))
+    src = f"int f(int a, int k) {{\n    int acc = 0;\n{body}    return acc;\n}}\n"
+    started = time.monotonic()
+    findings, report = run(src, budget=Budget(max_paths=2**41))
+    assert time.monotonic() - started < 1.0
+    assert report.paths_explored == 2**40
+    assert report.exhausted is False
+    assert findings == []
+
+
+def test_state_key_covers_every_path_state_field():
+    def base() -> PathState:
+        st = PathState()
+        st.bindings = {"p": 1, "q": 2}
+        st.init = {1: Init.INIT, 2: Init.INIT, 3: Init.INIT}
+        st.derived = {2: (3, 4)}
+        return st
+
+    # One change per field, each to a symbol the bindings reach.
+    changes = {
+        "bindings": lambda st: st.bindings.update(r=1),
+        "resource": lambda st: st.resource.update({3: Resource.FREED}),
+        "init": lambda st: st.init.update({3: Init.UNINIT}),
+        "nullc": lambda st: st.nullc.update({1: Null.NON_NULL}),
+        "konst": lambda st: st.konst.update({3: 0}),
+        "origin": lambda st: st.origin.update({1: "fopen"}),
+        "derived": lambda st: st.derived.update({2: (3, None)}),
+        "fd_int": lambda st: st.fd_int.add(3),
+        "flags": lambda st: st.flags.add("fwide-called"),
+    }
+    assert set(changes) == {f.name for f in dataclasses.fields(PathState)}
+    for name, change in changes.items():
+        st = base()
+        change(st)
+        assert state_key(st) != state_key(base()), name
+
+
+def test_state_key_ignores_symbol_numbers_and_dead_symbols():
+    a = PathState(bindings={"x": 5, "y": 9}, init={5: Init.INIT, 9: Init.UNINIT, 7: Init.INIT})
+    b = PathState(bindings={"y": 2, "x": 1}, init={1: Init.INIT, 2: Init.UNINIT})
+    b.resource[4] = Resource.FREED  # unreachable from the bindings
+    assert state_key(a) == state_key(b)
