@@ -4,101 +4,15 @@ The package covers four concerns: a tolerant C frontend feeding a
 path-sensitive smell analysis, repository classification for
 WebAssembly targeting, README relevance ranking, and curation of
 deduplicated .wasm binary collections.
+
+The package root exports the three entry points below; everything else
+is imported from its submodule (``wasmsmell.cfg``, ``wasmsmell.engine``, ...).
 """
 
-from .analysis import FileResult, analyze_project, analyze_source, collect_source_files
-from .cfg import FlowGraph, build_cfg
-from .checkers import (
-    CHECKER_DEFS,
-    UnknownCheckerError,
-    all_checker_ids,
-    check_structural,
-    default_checker_ids,
-    make_flow_checkers,
-    validate_checker_ids,
-)
-from .cparser import AstNode, ParseResult, parse_source
-from .dataset import (
-    BinaryIndex,
-    IntegrityError,
-    convert_wat,
-    load_index,
-    orchestrate_build,
-    save_index,
-    scan_binaries,
-    sha256_file,
-    store_dedup,
-)
-from .engine import Budget, BudgetReport, Checker, Engine, analyze_function
-from .lexer import Diagnostic, Span, Token, lex
-from .preprocess import PreprocessResult, preprocess_lite
-from .relevance import RelevanceVerdict, extract_candidates, is_relevant, pagerank, rank
-from .report import (
-    BudgetSummary,
-    CorpusStats,
-    Finding,
-    ProjectReport,
-    ReportError,
-    canonical_json,
-    compute_corpus_stats,
-    merge_findings,
-    render,
-)
-from .wasmdetect import RepoEvidence, classify_repo
+from .analysis import analyze_source
+from .relevance import is_relevant
+from .report import canonical_json
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AstNode",
-    "BinaryIndex",
-    "Budget",
-    "BudgetReport",
-    "BudgetSummary",
-    "CHECKER_DEFS",
-    "Checker",
-    "CorpusStats",
-    "Diagnostic",
-    "Engine",
-    "FileResult",
-    "Finding",
-    "FlowGraph",
-    "IntegrityError",
-    "ParseResult",
-    "PreprocessResult",
-    "ProjectReport",
-    "RelevanceVerdict",
-    "RepoEvidence",
-    "ReportError",
-    "Span",
-    "Token",
-    "UnknownCheckerError",
-    "all_checker_ids",
-    "analyze_function",
-    "analyze_project",
-    "analyze_source",
-    "build_cfg",
-    "canonical_json",
-    "check_structural",
-    "classify_repo",
-    "collect_source_files",
-    "compute_corpus_stats",
-    "convert_wat",
-    "default_checker_ids",
-    "extract_candidates",
-    "is_relevant",
-    "lex",
-    "load_index",
-    "make_flow_checkers",
-    "merge_findings",
-    "orchestrate_build",
-    "pagerank",
-    "parse_source",
-    "preprocess_lite",
-    "rank",
-    "render",
-    "save_index",
-    "scan_binaries",
-    "sha256_file",
-    "store_dedup",
-    "validate_checker_ids",
-]
+__all__ = ["analyze_source", "canonical_json", "is_relevant"]

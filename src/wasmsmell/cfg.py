@@ -1,4 +1,4 @@
-"""Per-function control-flow graphs and declared-type tables.
+"""Per-function control-flow graphs and the block scoping they share.
 
 Lowers the structured AST into basic blocks of simplified statements.
 Calls nested inside expressions are hoisted into explicit CallStmt
@@ -34,21 +34,6 @@ class DeclType:
         return self.ptr_depth > 0 or self.is_array
 
 
-@dataclass
-class SymbolTable:
-    """Scoped declaration table; lookups resolve innermost-first."""
-
-    # entries: (scope_start, scope_end, name, DeclType); later = inner
-    entries: list[tuple[int, int, str, DeclType]] = field(default_factory=list)
-
-    def lookup(self, name: str, offset: int) -> DeclType | None:
-        best = None
-        for start, end, nm, dt in self.entries:
-            if nm == name and start <= offset <= end:
-                best = dt  # later entries are from inner scopes
-        return best
-
-
 def _decl_type(info: DeclInfo, span: Span) -> DeclType:
     return DeclType(
         base=info.base,
@@ -61,33 +46,42 @@ def _decl_type(info: DeclInfo, span: Span) -> DeclType:
     )
 
 
-def resolve_decl_types(func: AstNode) -> SymbolTable:
-    """Collect every declaration in a FunctionDef with its enclosing scope."""
-    table = SymbolTable()
-    fn_start, fn_end = func.span.offset, func.span.end
+class Scopes:
+    """C block scoping: a name is visible from its declaration to the end
+    of its block. A redeclared `x` gets the unique name `x@2`, `x@3`, ..."""
 
-    for param in func.children[:-1]:
-        if param.kind == "Decl" and param.decl is not None:
-            table.entries.append(
-                (fn_start, fn_end, param.decl.name, _decl_type(param.decl, param.span))
-            )
+    def __init__(self):
+        self.stack: list[dict[str, str]] = [{}]
+        self.name_counts: dict[str, int] = {}
+        self.symbols: dict[str, DeclType] = {}  # unique name -> declared type
 
-    def visit(node: AstNode, scope: tuple[int, int]):
-        if node.kind == "Block":
-            inner = (node.span.offset, node.span.end)
-            for child in node.children:
-                visit(child, inner)
-            return
-        if node.kind == "Decl" and node.decl is not None:
-            table.entries.append(
-                (scope[0], scope[1], node.decl.name, _decl_type(node.decl, node.span))
-            )
-        for child in node.children:
-            visit(child, scope)
+    def push(self):
+        self.stack.append({})
 
-    body = func.children[-1]
-    visit(body, (fn_start, fn_end))
-    return table
+    def pop(self):
+        self.stack.pop()
+
+    def declare(self, info: DeclInfo, span: Span) -> str:
+        count = self.name_counts.get(info.name, 0) + 1
+        self.name_counts[info.name] = count
+        unique = info.name if count == 1 else f"{info.name}@{count}"
+        self.stack[-1][info.name] = unique
+        self.symbols[unique] = _decl_type(info, span)
+        return unique
+
+    def declare_params(self, func: AstNode) -> list[str]:
+        return [
+            self.declare(p.decl, p.span)
+            for p in func.children[:-1]
+            if p.kind == "Decl" and p.decl is not None
+        ]
+
+    def resolve(self, name: str) -> str | None:
+        """The unique name `name` refers to here, or None if it is undeclared."""
+        for scope in reversed(self.stack):
+            if name in scope:
+                return scope[name]
+        return None
 
 
 # -- lowered statements -------------------------------------------------
@@ -166,12 +160,11 @@ class _Lowerer:
         self.func = func
         self.blocks: list[BasicBlock] = []
         self.edges: list[Edge] = []
-        self.symbols: dict[str, DeclType] = {}
-        self.scopes: list[dict[str, str]] = [{}]
+        self.scopes = Scopes()
+        self.symbols = self.scopes.symbols
         self.loop_headers: list[int] = []
         self.loop_body_entries: dict[int, int] = {}
         self.temp_counter = 0
-        self.name_counts: dict[str, int] = {}
         self.current = self.new_block()
 
     # -- infrastructure ------------------------------------------------
@@ -193,19 +186,8 @@ class _Lowerer:
         self.temp_counter += 1
         return f"%t{self.temp_counter}"
 
-    def declare(self, info: DeclInfo, span: Span) -> str:
-        count = self.name_counts.get(info.name, 0) + 1
-        self.name_counts[info.name] = count
-        unique = info.name if count == 1 else f"{info.name}@{count}"
-        self.scopes[-1][info.name] = unique
-        self.symbols[unique] = _decl_type(info, span)
-        return unique
-
     def resolve(self, name: str) -> str:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return name
+        return self.scopes.resolve(name) or name
 
     # -- expression lowering ---------------------------------------------
 
@@ -292,14 +274,14 @@ class _Lowerer:
     def lower_stmt(self, node: AstNode):
         kind = node.kind
         if kind == "Block":
-            self.scopes.append({})
+            self.scopes.push()
             for child in node.children:
                 self.lower_stmt(child)
             self.scopes.pop()
         elif kind == "Decl":
             if node.decl is None:
                 return
-            unique = self.declare(node.decl, node.span)
+            unique = self.scopes.declare(node.decl, node.span)
             dt = self.symbols[unique]
             if node.children:
                 self.assign_to(unique, node.children[0], node.span, decl=dt)
@@ -390,10 +372,7 @@ class _Lowerer:
     # -- driver ---------------------------------------------------------
 
     def build(self) -> FlowGraph:
-        params = []
-        for p in self.func.children[:-1]:
-            if p.kind == "Decl" and p.decl is not None:
-                params.append(self.declare(p.decl, p.span))
+        params = self.scopes.declare_params(self.func)
         body = self.func.children[-1]
         self.lower_stmt(body)
         return self.finish(params)

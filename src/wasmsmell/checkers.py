@@ -1,15 +1,16 @@
 """Smell detectors for C/C++ code headed to WebAssembly.
 
 CHECKER_DEFS is the one registry of ids, CWEs and defaults. Structural
-checkers walk the AST with a declared-type table; flow checkers
-implement engine hooks, reason per path, and get their CWE from it.
+checkers walk the AST and resolve names through the same cfg.Scopes
+that lowering uses; flow checkers implement engine hooks, reason per
+path, and get their CWE from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfg import SymbolTable, resolve_decl_types
+from .cfg import Scopes
 from .cparser import AstNode
 from .engine import Checker, Init, Null, Resource
 from .lexer import KIND_CHAR, KIND_INT, KIND_STRING, KIND_WSTRING
@@ -245,7 +246,7 @@ def _type_from_text(base: str, ptr_depth: int, is_array: bool) -> str:
     return T_UNKNOWN
 
 
-def expr_type(expr: AstNode, symtab: SymbolTable) -> str:
+def expr_type(expr: AstNode, scopes: Scopes) -> str:
     kind = expr.kind
     if kind == "Literal":
         lk = expr.literal_kind
@@ -264,9 +265,10 @@ def expr_type(expr: AstNode, symtab: SymbolTable) -> str:
             return T_INT
         return T_UNKNOWN
     if kind == "Ident":
-        dt = symtab.lookup(expr.name, expr.span.offset)
-        if dt is None:
+        unique = scopes.resolve(expr.name)
+        if unique is None:
             return T_UNKNOWN
+        dt = scopes.symbols[unique]
         return _type_from_text(dt.base, dt.ptr_depth, dt.is_array)
     if kind == "Cast":
         text = expr.value or ""
@@ -277,21 +279,21 @@ def expr_type(expr: AstNode, symtab: SymbolTable) -> str:
         if op == "&":
             return T_PTR
         if op in ("-", "+"):
-            return expr_type(expr.children[0], symtab)
+            return expr_type(expr.children[0], scopes)
         if op == "!":
             return T_INT
         return T_UNKNOWN
     if kind == "Binary":
         op = expr.value
         if op == "[]":
-            inner = expr_type(expr.children[0], symtab)
+            inner = expr_type(expr.children[0], scopes)
             if inner in (T_STR, T_WSTR):
                 return T_INT  # element of a char/wchar buffer
             return T_UNKNOWN
         if op in ("==", "!=", "<", ">", "<=", ">=", "&&", "||"):
             return T_INT
         if op == ",":
-            return expr_type(expr.children[-1], symtab)
+            return expr_type(expr.children[-1], scopes)
         return T_UNKNOWN
     return T_UNKNOWN
 
@@ -382,44 +384,60 @@ def check_structural(unit: AstNode, enabled_ids) -> StructuralResult:
     """Run AST-only checkers over a translation unit."""
     enabled = set(enabled_ids)
     result = StructuralResult([])
-
-    def scan(node: AstNode, symtab: SymbolTable):
-        for n in node.walk():
-            if n.kind == "Call":
-                if n.name == "getenv" and "access-env" in enabled:
-                    result.findings.append(
-                        _mk(
-                            CHECKERS_BY_ID["access-env"],
-                            n.span,
-                            "call to getenv(); the environment is empty by default "
-                            "in a WebAssembly runtime",
-                        )
-                    )
-                if n.name in FORMAT_FUNCS:
-                    _check_format_call(n, symtab, enabled, result)
-            elif n.kind == "Binary" and n.value == "-" and "pointer-subtraction" in enabled:
-                lt = expr_type(n.children[0], symtab)
-                rt = expr_type(n.children[1], symtab)
-                if lt in (T_PTR, T_STR, T_WSTR) and rt in (T_PTR, T_STR, T_WSTR):
-                    result.findings.append(
-                        _mk(
-                            CHECKERS_BY_ID["pointer-subtraction"],
-                            n.span,
-                            "subtraction of two pointers; offsets differ between "
-                            "native and WebAssembly memory layouts",
-                        )
-                    )
-
-    empty = SymbolTable()
     for top in unit.children:
+        scopes = Scopes()
         if top.kind == "FunctionDef":
-            scan(top.children[-1], resolve_decl_types(top))
-        else:
-            scan(top, empty)
+            scopes.declare_params(top)
+            _scan(top.children[-1], scopes, True, enabled, result)
+        else:  # file-scope names stay unresolved
+            _scan(top, scopes, False, enabled, result)
     return result
 
 
-def _check_format_call(call: AstNode, symtab: SymbolTable, enabled, result: StructuralResult):
+def _scan(root: AstNode, scopes: Scopes, declare: bool, enabled, result: StructuralResult):
+    """Pre-order walk of `root`, scoping names as lowering does; a None on
+    the stack closes the innermost block."""
+    stack: list[AstNode | None] = [root]
+    while stack:
+        n = stack.pop()
+        if n is None:
+            scopes.pop()
+            continue
+        kind = n.kind
+        if kind == "Block":
+            scopes.push()
+            stack.append(None)
+        elif kind == "Decl":
+            if declare and n.decl is not None:
+                scopes.declare(n.decl, n.span)
+        elif kind == "Call":
+            if n.name == "getenv" and "access-env" in enabled:
+                result.findings.append(
+                    _mk(
+                        CHECKERS_BY_ID["access-env"],
+                        n.span,
+                        "call to getenv(); the environment is empty by default "
+                        "in a WebAssembly runtime",
+                    )
+                )
+            if n.name in FORMAT_FUNCS:
+                _check_format_call(n, scopes, enabled, result)
+        elif kind == "Binary" and n.value == "-" and "pointer-subtraction" in enabled:
+            lt = expr_type(n.children[0], scopes)
+            rt = expr_type(n.children[1], scopes)
+            if lt in (T_PTR, T_STR, T_WSTR) and rt in (T_PTR, T_STR, T_WSTR):
+                result.findings.append(
+                    _mk(
+                        CHECKERS_BY_ID["pointer-subtraction"],
+                        n.span,
+                        "subtraction of two pointers; offsets differ between "
+                        "native and WebAssembly memory layouts",
+                    )
+                )
+        stack.extend(reversed(n.children))
+
+
+def _check_format_call(call: AstNode, scopes: Scopes, enabled, result: StructuralResult):
     if not ("format-arg-count" in enabled or "format-arg-type" in enabled):
         return
     fmt_index = FORMAT_FUNCS[call.name]
@@ -448,7 +466,7 @@ def _check_format_call(call: AstNode, symtab: SymbolTable, enabled, result: Stru
     for want, arg in zip(expected, provided):
         if want == T_UNKNOWN:
             continue
-        got = expr_type(arg, symtab)
+        got = expr_type(arg, scopes)
         if got in _TYPE_MISMATCH.get(want, ()):
             result.findings.append(
                 _mk(

@@ -63,9 +63,12 @@ class AstNode:
     literal_kind: str | None = None  # token kind for Literal nodes
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Pre-order over this subtree, without recursion."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass

@@ -6,7 +6,6 @@ from wasmsmell.cfg import (
     CallStmt,
     CondBranch,
     build_cfg,
-    resolve_decl_types,
 )
 from wasmsmell.cparser import parse_source
 
@@ -140,19 +139,15 @@ def test_switch_becomes_branch_chain():
     assert len(branches) == 2  # one comparison per non-default case
 
 
-def test_resolve_decl_types_examples():
-    src = (
+def test_declared_types_in_symbols():
+    fg = cfg_of(
         'int main(void) { FILE *f = fopen("file.txt", "w+"); int g = open(0); '
         'char string2[] = "a/b"; return 0; }'
     )
-    unit = parse_source(src).unit
-    fn = [n for n in unit.children if n.kind == "FunctionDef"][0]
-    symtab = resolve_decl_types(fn)
-    at = src.index("return 0")  # an offset inside the body scope
-    f = symtab.lookup("f", at)
+    f = fg.symbols["f"]
     assert f.base == "FILE" and f.pointerish
-    g = symtab.lookup("g", at)
+    g = fg.symbols["g"]
     assert g.base == "int" and not g.pointerish
-    s2 = symtab.lookup("string2", at)
+    s2 = fg.symbols["string2"]
     assert s2.base == "char" and s2.is_array
-    assert symtab.lookup("missing", at) is None
+    assert "missing" not in fg.symbols

@@ -184,6 +184,38 @@ def test_fprintf_and_snprintf_format_positions():
     assert analyze_source(ok, "t.c").findings == []
 
 
+def test_use_before_declaration_is_not_typed_by_it():
+    # `n` is not in scope at the call, so its later `int` type does not apply
+    src = b'int main(void) { printf("%s", n); int n = 0; return n; }'
+    assert analyze_source(src, "t.c", checker_ids=["format-arg-type"]).findings == []
+
+
+def test_inner_declaration_shadows_from_its_declaration_to_block_end():
+    # outer `char *s` before the inner `int s`, then the inner one, then outer again
+    src = (
+        b'int main(void) { char *s; { printf("%d", s); int s = 0; printf("%s", s); } '
+        b'printf("%d", s); return 0; }'
+    )
+    result = analyze_source(src, "t.c", checker_ids=["format-arg-type"])
+    cols = {i + 1 for i in range(len(src)) if src.startswith(b"s);", i)}
+    assert len(cols) == 3
+    assert {(f.checker, f.line, f.col) for f in result.findings} == {
+        ("format-arg-type", 1, c) for c in cols
+    }
+
+
+def test_file_scope_long_sum_does_not_recurse():
+    src = ("int x = " + "+".join(["1"] * 3000) + ";\n").encode()
+    assert analyze_source(src, "t.c", checker_ids=all_checker_ids()).findings == []
+
+
 def test_pointer_subtraction_needs_two_pointers():
     ok = b"int main(void) { int a = 5; int b = 3; int d = a - b; return d; }"
     assert analyze_source(ok, "t.c").findings == []
+
+
+def test_parameters_are_typed_and_file_scope_names_are_not():
+    params = b"int f(char *p, char *q) { return p - q; }"
+    assert {f.checker for f in analyze_source(params, "t.c").findings} == {"pointer-subtraction"}
+    file_scope = b'char *a = "x", *b = a - a;'
+    assert analyze_source(file_scope, "t.c").findings == []

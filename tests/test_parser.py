@@ -1,4 +1,5 @@
 import string
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +93,24 @@ def test_spans_cover_source():
             continue
         assert 0 <= node.span.offset <= len(src)
         assert node.span.offset + node.span.length <= len(src)
+
+
+def test_walk_is_recursive_preorder():
+    def recursive(node):
+        yield node
+        for child in node.children:
+            yield from recursive(child)
+
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("*/*.c"))
+    assert len(fixtures) > 20
+    for path in fixtures:
+        unit = parse_source(path.read_bytes()).unit
+        assert [id(n) for n in unit.walk()] == [id(n) for n in recursive(unit)], path.name
+
+
+def test_walk_long_file_scope_sum():
+    unit = parse_source("int x = " + "+".join(["1"] * 3000) + ";").unit
+    assert sum(n.kind == "Literal" for n in unit.walk()) == 3000
 
 
 def test_deeply_nested_parens_hit_depth_limit_not_recursion():
