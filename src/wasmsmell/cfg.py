@@ -278,6 +278,9 @@ class _Lowerer:
             for child in node.children:
                 self.lower_stmt(child)
             self.scopes.pop()
+        elif kind == "DeclList":
+            for child in node.children:
+                self.lower_stmt(child)
         elif kind == "Decl":
             if node.decl is None:
                 return

@@ -21,9 +21,8 @@ from .lexer import (
     Diagnostic,
     Span,
     Token,
-    lex,
+    scan,
 )
-from .preprocess import PreprocessResult, preprocess_lite
 
 MAX_EXPR_DEPTH = 150
 
@@ -33,6 +32,7 @@ TYPE_KEYWORDS = frozenset(
 DECL_QUALIFIERS = frozenset(
     "const volatile static extern register inline auto restrict".split()
 )
+TAG_KEYWORDS = ("struct", "union", "enum")
 BUILTIN_TYPENAMES = frozenset(
     """
     FILE size_t ssize_t wchar_t mode_t off_t time_t ptrdiff_t va_list DIR
@@ -108,10 +108,6 @@ class Parser:
         t = self.peek()
         return t is not None and t.lexeme == lexeme
 
-    def at_kind(self, kind: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == kind
-
     def advance(self) -> Token:
         t = self.toks[self.pos]
         self.pos += 1
@@ -138,11 +134,7 @@ class Parser:
         if t is None:
             return False
         if t.kind == KIND_KEYWORD:
-            return t.lexeme in TYPE_KEYWORDS or t.lexeme in (
-                "struct",
-                "union",
-                "enum",
-            ) or t.lexeme in DECL_QUALIFIERS
+            return t.lexeme in TYPE_KEYWORDS or t.lexeme in DECL_QUALIFIERS or t.lexeme in TAG_KEYWORDS
         return t.kind == KIND_IDENT and t.lexeme in self.typenames
 
     def starts_decl(self) -> bool:
@@ -230,7 +222,7 @@ class Parser:
                 parts.append(self.advance().lexeme)
                 consumed += 1
                 continue
-            if t.kind == KIND_KEYWORD and t.lexeme in ("struct", "union", "enum"):
+            if t.kind == KIND_KEYWORD and t.lexeme in TAG_KEYWORDS:
                 self.advance()
                 consumed += 1
                 tag = self.peek()
@@ -329,7 +321,8 @@ class Parser:
             d.span = span
         if len(decls) == 1:
             return decls[0]
-        return AstNode("Block", span, decls)
+        # `int a, b;` declares both names in the enclosing scope
+        return AstNode("DeclList", span, decls)
 
     def parse_typedef(self, start: int) -> AstNode:
         self.expect("typedef")
@@ -707,15 +700,9 @@ class Parser:
         """If a cast starts at '(' here, return index past ')'; else 0."""
         if not self.at("("):
             return 0
+        if not self.is_type_token(self.peek(1)):
+            return 0
         i = 1
-        t = self.peek(i)
-        if t is None:
-            return 0
-        if not (
-            (t.kind == KIND_KEYWORD and (t.lexeme in TYPE_KEYWORDS or t.lexeme in DECL_QUALIFIERS or t.lexeme in ("struct", "union", "enum")))
-            or (t.kind == KIND_IDENT and t.lexeme in self.typenames)
-        ):
-            return 0
         while True:
             t = self.peek(i)
             if t is None:
@@ -852,8 +839,8 @@ def parse_tokens(tokens: list[Token]) -> tuple[AstNode, list[Diagnostic]]:
 
 
 def parse_source(source) -> ParseResult:
-    """preprocess + lex + parse in one step. Never raises on any input."""
-    pre = preprocess_lite(source)
-    tokens, lex_diags = lex(pre.text)
+    """Scan (comments and directives dropped, includes read) and parse.
+    Never raises on any input."""
+    tokens, lex_diags, includes = scan(source)
     unit, parse_diags = parse_tokens(tokens)
-    return ParseResult(unit, pre.diagnostics + lex_diags + parse_diags, pre.includes, tokens)
+    return ParseResult(unit, lex_diags + parse_diags, includes, tokens)

@@ -1,8 +1,10 @@
-"""Tolerant lexer for C/C++ source text.
+"""Tolerant one-pass lexer for C/C++ source text.
 
 Never fails: anything that is not a recognizable token becomes a
 single-byte punctuator with a diagnostic attached. Token spans always
-index into the original input text.
+index into the original input text. The same scan drops whitespace,
+comments and preprocessor directive lines, and reads the ``#include``
+targets of those lines for the WebAssembly target detector.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ class Diagnostic:
     severity: str = "recovered"
 
 
+@dataclass
+class IncludeRef:
+    target: str  # path between <> or "" quotes
+    line: int  # 1-based
+
+
 # Multi-character punctuators must be tried longest-first.
 _PUNCTS = [
     "<<=", ">>=", "...", "->", "++", "--", "<<", ">>", "<=", ">=", "==",
@@ -66,7 +74,8 @@ _PUNCTS = [
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<comment>/\*.*?\*/|//[^\n]*|/\*.*)            # /* unterminated too
+  | (?P<comment>/\*.*?\*/|//[^\n]*)
+  | (?P<unclosed>/\*.*)                                # comment to end of input
   | (?P<wstring>L"(?:\\.|[^"\\\n])*(?:"|(?=\n)|$))
   | (?P<string>"(?:\\.|[^"\\\n])*(?:"|(?=\n)|$))
   | (?P<char>L?'(?:\\.|[^'\\\n])*(?:'|(?=\n)|$))
@@ -77,6 +86,18 @@ _TOKEN_RE = re.compile(
     % "|".join(re.escape(p) for p in _PUNCTS),
     re.VERBOSE | re.DOTALL,
 )
+
+_LITERALS = {  # group: token kind, closing quote, shortest closed length, diagnostic
+    "string": (KIND_STRING, '"', 2, "unterminated string literal"),
+    "wstring": (KIND_WSTRING, '"', 3, "unterminated wide string literal"),
+    "char": (KIND_CHAR, "'", 2, "unterminated char literal"),
+}
+
+# Matched against directive lines with their comments blanked to spaces.
+# Horizontal space only: a match that began on an earlier blank line would
+# report that line.
+_INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*(?:<([^>\n]+)>|"([^"\n]+)")', re.MULTILINE)
+_NOT_NEWLINE = re.compile(r"[^\n]")
 
 
 def decode_source(data) -> str:
@@ -108,10 +129,22 @@ class _LineIndex:
 
 def lex(source) -> tuple[list[Token], list[Diagnostic]]:
     """Tokenize arbitrary input. Total: junk bytes become punctuators."""
+    return scan(source)[:2]
+
+
+def scan(source) -> tuple[list[Token], list[Diagnostic], list[IncludeRef]]:
+    """``lex`` plus the ``#include`` targets of the directive lines.
+
+    A line is a directive when its first token, after spaces and comments,
+    is ``#``. Its tokens are dropped and raise no diagnostic; an
+    unterminated comment that starts on it still does.
+    """
     text = decode_source(source)
     index = _LineIndex(text)
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
+    includes: list[IncludeRef] = []
+    resumed = 0  # where the scan went on after the last directive
     pos = 0
     n = len(text)
     while pos < n:
@@ -125,28 +158,73 @@ def lex(source) -> tuple[list[Token], list[Diagnostic]]:
             continue
         kind = m.lastgroup
         lexeme = m.group()
-        if kind not in ("ws", "comment"):
+        if kind == "ws" or kind == "comment":
+            pass
+        elif kind == "unclosed":
+            diags.append(Diagnostic(index.span(pos, len(lexeme)), "unterminated comment"))
+        elif lexeme == "#" and (not tokens or tokens[-1].span.end <= text.rfind("\n", 0, pos) + 1):
+            gap = max(tokens[-1].span.end if tokens else 0, resumed)
+            pos = resumed = _directive(text, gap, pos, index, diags, includes)
+            continue
+        else:
             span = index.span(pos, len(lexeme))
             if kind == "ident":
                 tk = KIND_KEYWORD if lexeme in KEYWORDS else KIND_IDENT
+            elif kind == "punct":
+                tk = KIND_PUNCT
             elif kind == "num":
                 tk = KIND_INT
-            elif kind == "string":
-                tk = KIND_STRING
-                if not (len(lexeme) >= 2 and lexeme.endswith('"')):
-                    diags.append(Diagnostic(span, "unterminated string literal"))
-            elif kind == "wstring":
-                tk = KIND_WSTRING
-                if not (len(lexeme) >= 3 and lexeme.endswith('"')):
-                    diags.append(Diagnostic(span, "unterminated wide string literal"))
-            elif kind == "char":
-                tk = KIND_CHAR
-                if not (len(lexeme) >= 2 and lexeme.endswith("'")):
-                    diags.append(Diagnostic(span, "unterminated char literal"))
             else:
-                tk = KIND_PUNCT
+                tk, quote, shortest, message = _LITERALS[kind]
+                if len(lexeme) < shortest or not lexeme.endswith(quote):
+                    diags.append(Diagnostic(span, message))
             tokens.append(Token(tk, lexeme, span))
-        elif kind == "comment" and lexeme.startswith("/*") and not lexeme.endswith("*/"):
-            diags.append(Diagnostic(index.span(pos, len(lexeme)), "unterminated comment"))
         pos = m.end()
-    return tokens, diags
+    return tokens, diags, includes
+
+
+def _directive(text, gap, hash_pos, index, diags, includes) -> int:
+    """Drop the directive whose ``#`` is at ``hash_pos`` and read its
+    includes; return where the scan goes on. From the token boundary
+    ``gap`` to ``hash_pos`` there are only whitespace and comments.
+
+    The directive runs on to the next line while the last non-space
+    character of its line, comments blanked, is a backslash.
+    """
+    out = []  # the text from gap on, comments blanked to spaces
+    last = ""  # the last non-space character of the current line
+    pos = gap
+    n = resume = len(text)
+    while pos < n:
+        m = _TOKEN_RE.match(text, pos)
+        end = m.end() if m else pos + 1
+        piece = text[pos:end]
+        comment = m and m.lastgroup in ("comment", "unclosed")
+        if comment:
+            if m.lastgroup == "unclosed":
+                diags.append(Diagnostic(index.span(pos, end - pos), "unterminated comment"))
+            piece = _NOT_NEWLINE.sub(" ", piece)
+        off = 0
+        for k, seg in enumerate(piece.split("\n")):
+            if k and pos >= hash_pos:  # newlines before '#' are in the gap
+                if last != "\\":
+                    break
+                last = ""
+            last = seg.rstrip()[-1:] or last
+            off += len(seg) + 1
+        else:
+            out.append(piece)
+            pos = end
+            continue
+        # The newline at piece[off - 1] ends the directive. Inside a comment,
+        # the scan goes on after the comment, whose rest is blank.
+        out.append(piece[: off - 1])
+        resume = end if comment else pos + off - 1
+        break
+    # The directive's first line may start inside a comment that ends at gap.
+    line_start = text.rfind("\n", 0, hash_pos) + 1
+    blanked = " " * (gap - line_start) + "".join(out)[max(line_start - gap, 0):]
+    line = index.locate(line_start)[0]
+    for m in _INCLUDE_RE.finditer(blanked):
+        includes.append(IncludeRef(m.group(1) or m.group(2), line + blanked.count("\n", 0, m.start())))
+    return resume

@@ -74,9 +74,11 @@ def _read_text(path: Path) -> str | None:
 
 
 def _line_hits(rel: str, text: str, pattern: re.Pattern) -> list[Hit]:
+    # Lines end at "\n" only, as H2 and the lexer count them; splitlines()
+    # would also break at form feeds and lone carriage returns.
     return [
         Hit(rel, lineno, m.group())
-        for lineno, line in enumerate(text.splitlines(), start=1)
+        for lineno, line in enumerate(text.split("\n"), start=1)
         for m in pattern.finditer(line)
     ]
 

@@ -219,3 +219,10 @@ def test_parameters_are_typed_and_file_scope_names_are_not():
     assert {f.checker for f in analyze_source(params, "t.c").findings} == {"pointer-subtraction"}
     file_scope = b'char *a = "x", *b = a - a;'
     assert analyze_source(file_scope, "t.c").findings == []
+
+
+def test_multi_declarator_names_stay_in_scope_after_the_semicolon():
+    # `char *a, *b;` declares both in the function body, not in a block of its own
+    src = b'int f(void){ char *a, *b; printf("%d", a); return b - a; }'
+    found = {f.checker for f in analyze_source(src, "t.c", checker_ids=all_checker_ids()).findings}
+    assert {"format-arg-type", "pointer-subtraction"} <= found

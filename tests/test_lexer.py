@@ -14,6 +14,7 @@ from wasmsmell.lexer import (
     decode_source,
     lex,
 )
+from wasmsmell.cparser import parse_source
 
 
 def kinds(tokens):
@@ -111,3 +112,28 @@ def test_token_spans_stay_inside_source(text):
 @given(st.text(alphabet=string.printable, max_size=300))
 def test_lexing_is_deterministic(text):
     assert lex(text) == lex(text)
+
+
+def test_string_continued_onto_a_hash_line_keeps_its_text():
+    # backslash-newline splices the lines, so `#def"` belongs to the string
+    text = 'x = "abc\\\n#def";\nint y;'
+    tokens = parse_source(text).tokens
+    assert lexemes(tokens) == ["x", "=", '"abc\\\n#def"', ";", "int", "y", ";"]
+
+
+def test_char_literal_continued_onto_a_hash_line_keeps_its_text():
+    text = "c = '\\\n#x';\nint y;"
+    tokens = parse_source(text).tokens
+    assert lexemes(tokens) == ["c", "=", "'\\\n#x'", ";", "int", "y", ";"]
+
+
+# Quotes, backslashes, '#', comment markers and newlines, where a token can
+# cross a line or a directive can swallow one.
+_EDGE_ATOMS = ['"', "'", "\\", "#", "/", "*", "\n", "\\\n", "/*", "*/", " ", "\t", "a", ";", "("]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_EDGE_ATOMS), max_size=120).map("".join))
+def test_parse_source_tokens_match_the_source_at_their_span(text):
+    for t in parse_source(text).tokens:
+        assert text[t.span.offset : t.span.offset + t.span.length] == t.lexeme

@@ -135,3 +135,10 @@ def test_parse_is_total_on_bytes(data):
 def test_parse_is_total_on_text(text):
     res = parse_source(text)
     assert res.unit.kind == "TranslationUnit"
+
+
+def test_multi_declarator_is_a_decl_list():
+    res = parse_source("int f(void) { char *a, *b = 0; return 0; }")
+    (lst,) = find_kind(res.unit, "DeclList")
+    assert [(d.kind, d.name) for d in lst.children] == [("Decl", "a"), ("Decl", "b")]
+    assert find_kind(res.unit, "Block") == [functions(res.unit)[0].children[-1]]

@@ -118,3 +118,13 @@ def test_one_file_can_hit_two_heuristics(tmp_path):
     ev = classify_repo(tmp_path)
     assert [(h.file, h.line) for h in ev.h1_build_scripts] == [("makefile.c", 2)]
     assert [(h.file, h.line) for h in ev.h2_headers] == [("makefile.c", 1)]
+
+
+@pytest.mark.parametrize("odd", ["\x0c", "\r", "\x0b", "\x1c"])
+def test_h1_h3_lines_count_only_newlines(tmp_path, odd):
+    # a form feed or lone carriage return does not start a new line
+    (tmp_path / "Makefile").write_bytes(f"all:\n\t@echo {odd} done\n\temcc main.c\n".encode())
+    (tmp_path / "app.js").write_bytes(f"// {odd} x\nWebAssembly.instantiate(b);\n".encode())
+    ev = classify_repo(tmp_path)
+    assert [(h.file, h.line) for h in ev.h1_build_scripts] == [("Makefile", 3)]
+    assert [(h.file, h.line) for h in ev.h3_js_api] == [("app.js", 2)]
