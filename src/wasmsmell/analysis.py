@@ -73,7 +73,6 @@ def analyze_project(
     root = Path(root)
     files = collect_source_files(root)
     base = root if root.is_dir() else root.parent
-    skipped = 0
 
     def run_one(path: Path) -> FileResult | None:
         rel = path.relative_to(base).as_posix()
@@ -82,7 +81,11 @@ def analyze_project(
         except OSError as err:
             print(f"warning: cannot read {path}: {err}", file=sys.stderr)
             return None
-        return analyze_source(data, rel, checker_ids, budget)
+        try:
+            return analyze_source(data, rel, checker_ids, budget)
+        except Exception as err:  # one crashing file must not end the run
+            print(f"warning: cannot analyze {path}: {type(err).__name__}: {err}", file=sys.stderr)
+            return None
 
     if jobs > 1 and len(files) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -172,34 +172,37 @@ class Parser:
 
     def recover(self, start: int, message: str, top_level: bool = False) -> AstNode:
         """Skip to the next statement boundary, emitting a SkippedRegion."""
-        self.pos = max(self.pos, start)
+        toks = self.toks
+        n = len(toks)
+        i = max(self.pos, start)
         depth = 0
-        while self.peek() is not None:
-            t = self.peek()
+        while i < n:
+            lx = toks[i].lexeme
             if (
                 top_level
                 and depth == 0
-                and self.pos > start
-                and (t.lexeme in self.typenames or t.lexeme in TYPE_KEYWORDS)
+                and i > start
+                and (lx in self.typenames or lx in TYPE_KEYWORDS)
             ):
                 break  # likely the start of the next declaration
-            if t.lexeme == "{":
+            if lx == "{":
                 depth += 1
-            elif t.lexeme == "}":
+            elif lx == "}":
                 if depth == 0:
                     if top_level:
-                        self.advance()
+                        i += 1
                     break
                 depth -= 1
                 if depth == 0 and top_level:
-                    self.advance()
+                    i += 1
                     break
-            elif t.lexeme == ";" and depth == 0:
-                self.advance()
+            elif lx == ";" and depth == 0:
+                i += 1
                 break
-            self.advance()
-        if self.pos == start and self.peek() is not None:
-            self.advance()
+            i += 1
+        if i == start and i < n:
+            i += 1
+        self.pos = i
         span = self.span_from(start)
         self.diags.append(Diagnostic(span, message))
         return AstNode("SkippedRegion", span, value=message)
@@ -344,13 +347,18 @@ class Parser:
         self.skip_balanced_from_open(open_lx, close_lx)
 
     def skip_balanced_from_open(self, open_lx: str = "{", close_lx: str = "}"):
+        toks = self.toks
+        n = len(toks)
+        i = self.pos
         depth = 1
-        while self.peek() is not None and depth > 0:
-            lx = self.advance().lexeme
+        while i < n and depth > 0:
+            lx = toks[i].lexeme
+            i += 1
             if lx == open_lx:
                 depth += 1
             elif lx == close_lx:
                 depth -= 1
+        self.pos = i
 
     # -- top level ------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Tolerant one-pass lexer for C/C++ source text.
 
-Never fails: anything that is not a recognizable token becomes a
-single-byte punctuator with a diagnostic attached. Token spans always
-index into the original input text. The same scan drops whitespace,
-comments and preprocessor directive lines, and reads the ``#include``
-targets of those lines for the WebAssembly target detector.
+Never fails: ``_TOKEN_RE`` matches at every position of any text. A run
+of characters that start no C token is matched once, and each of its
+characters becomes a one-character punctuator with an "unexpected byte"
+diagnostic. Token spans always index into the original input text. The
+same scan drops whitespace, comments and preprocessor directive lines,
+and reads the ``#include`` targets of those lines for the WebAssembly
+target detector.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 KIND_IDENT = "identifier"
@@ -52,11 +55,17 @@ class Token(NamedTuple):
     span: Span
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     span: Span
     message: str
     severity: str = "recovered"
+
+
+# Constructors that skip the Python-level __new__ of the NamedTuples; each
+# takes one tuple of all the fields.
+_new_span = partial(tuple.__new__, Span)
+_new_token = partial(tuple.__new__, Token)
+_new_diag = partial(tuple.__new__, Diagnostic)
 
 
 @dataclass
@@ -76,12 +85,13 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+)
   | (?P<comment>/\*.*?\*/|//[^\n]*)
   | (?P<unclosed>/\*.*)                                # comment to end of input
-  | (?P<wstring>L"(?:\\.|[^"\\\n])*(?:"|(?=\n)|$))
-  | (?P<string>"(?:\\.|[^"\\\n])*(?:"|(?=\n)|$))
-  | (?P<char>L?'(?:\\.|[^'\\\n])*(?:'|(?=\n)|$))
+  | (?P<wstring>L"(?:\\.?|[^"\\\n])*(?:"|(?=\n)|$))
+  | (?P<string>"(?:\\.?|[^"\\\n])*(?:"|(?=\n)|$))
+  | (?P<char>L?'(?:\\.?|[^'\\\n])*(?:'|(?=\n)|$))
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<num>(?:0[xX][0-9a-fA-F]+|\.?[0-9][0-9a-zA-Z_.]*(?:[eEpP][+-][0-9]+)?))
   | (?P<punct>%s|[-+*/%%=<>!&|^~?:;,.()\[\]{}#\\])
+  | (?P<junk>[^\s"'A-Za-z0-9_\-+*/%%=<>!&|^~?:;,.()\[\]{}#\\]+)  # starts no other token
     """
     % "|".join(re.escape(p) for p in _PUNCTS),
     re.VERBOSE | re.DOTALL,
@@ -116,11 +126,11 @@ class _LineIndex:
         while pos != -1:
             starts.append(pos + 1)
             pos = text.find("\n", pos + 1)
-        self._starts = starts
+        self.starts = starts  # the offset of each line's first character
 
     def locate(self, offset: int) -> tuple[int, int]:
-        i = bisect_right(self._starts, offset) - 1
-        return i + 1, offset - self._starts[i] + 1
+        i = bisect_right(self.starts, offset) - 1
+        return i + 1, offset - self.starts[i] + 1
 
     def span(self, offset: int, length: int) -> Span:
         line, col = self.locate(offset)
@@ -135,51 +145,67 @@ def lex(source) -> tuple[list[Token], list[Diagnostic]]:
 def scan(source) -> tuple[list[Token], list[Diagnostic], list[IncludeRef]]:
     """``lex`` plus the ``#include`` targets of the directive lines.
 
-    A line is a directive when its first token, after spaces and comments,
-    is ``#``. Its tokens are dropped and raise no diagnostic; an
-    unterminated comment that starts on it still does.
+    One ``_TOKEN_RE`` match per token, which matches at every position.
+    A run of unlexable characters is one match, and gives one punctuator
+    and one "unexpected byte" diagnostic per character. A line is a
+    directive when its first token, after spaces and comments, is ``#``.
+    Its tokens are dropped and raise no diagnostic; an unterminated
+    comment that starts on it still does.
     """
     text = decode_source(source)
     index = _LineIndex(text)
+    starts = index.starts
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
     includes: list[IncludeRef] = []
+    add_token = tokens.append
+    add_diag = diags.append
+    match = _TOKEN_RE.match
     resumed = 0  # where the scan went on after the last directive
     pos = 0
     n = len(text)
     while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            # Unlexable byte: emit it as a punctuator and move on.
-            span = index.span(pos, 1)
-            tokens.append(Token(KIND_PUNCT, text[pos], span))
-            diags.append(Diagnostic(span, f"unexpected byte {text[pos]!r}"))
-            pos += 1
-            continue
+        m = match(text, pos)
         kind = m.lastgroup
-        lexeme = m.group()
+        end = m.end()
         if kind == "ws" or kind == "comment":
-            pass
-        elif kind == "unclosed":
-            diags.append(Diagnostic(index.span(pos, len(lexeme)), "unterminated comment"))
-        elif lexeme == "#" and (not tokens or tokens[-1].span.end <= text.rfind("\n", 0, pos) + 1):
-            gap = max(tokens[-1].span.end if tokens else 0, resumed)
-            pos = resumed = _directive(text, gap, pos, index, diags, includes)
+            pos = end
             continue
+        line = bisect_right(starts, pos)
+        line_start = starts[line - 1]
+        col = pos - line_start + 1
+        if kind == "junk":
+            # One punctuator and one diagnostic per character; the run
+            # holds no newline, so it stays on one line.
+            for ch in text[pos:end]:
+                span = _new_span((pos, line, col, 1))
+                add_token(_new_token((KIND_PUNCT, ch, span)))
+                add_diag(_new_diag((span, f"unexpected byte {ch!r}", "recovered")))
+                pos += 1
+                col += 1
+            continue
+        span = _new_span((pos, line, col, end - pos))
+        if kind == "unclosed":
+            add_diag(_new_diag((span, "unterminated comment", "recovered")))
+            pos = end
+            continue
+        lexeme = m.group()
+        if kind == "ident":
+            tk = KIND_KEYWORD if lexeme in KEYWORDS else KIND_IDENT
+        elif kind == "punct":
+            if lexeme == "#" and (not tokens or tokens[-1].span.end <= line_start):
+                gap = max(tokens[-1].span.end if tokens else 0, resumed)
+                pos = resumed = _directive(text, gap, pos, index, diags, includes)
+                continue
+            tk = KIND_PUNCT
+        elif kind == "num":
+            tk = KIND_INT
         else:
-            span = index.span(pos, len(lexeme))
-            if kind == "ident":
-                tk = KIND_KEYWORD if lexeme in KEYWORDS else KIND_IDENT
-            elif kind == "punct":
-                tk = KIND_PUNCT
-            elif kind == "num":
-                tk = KIND_INT
-            else:
-                tk, quote, shortest, message = _LITERALS[kind]
-                if len(lexeme) < shortest or not lexeme.endswith(quote):
-                    diags.append(Diagnostic(span, message))
-            tokens.append(Token(tk, lexeme, span))
-        pos = m.end()
+            tk, quote, shortest, message = _LITERALS[kind]
+            if end - pos < shortest or not lexeme.endswith(quote):
+                add_diag(_new_diag((span, message, "recovered")))
+        add_token(_new_token((tk, lexeme, span)))
+        pos = end
     return tokens, diags, includes
 
 
@@ -197,9 +223,9 @@ def _directive(text, gap, hash_pos, index, diags, includes) -> int:
     n = resume = len(text)
     while pos < n:
         m = _TOKEN_RE.match(text, pos)
-        end = m.end() if m else pos + 1
+        end = m.end()
         piece = text[pos:end]
-        comment = m and m.lastgroup in ("comment", "unclosed")
+        comment = m.lastgroup in ("comment", "unclosed")
         if comment:
             if m.lastgroup == "unclosed":
                 diags.append(Diagnostic(index.span(pos, end - pos), "unterminated comment"))

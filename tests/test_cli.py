@@ -306,3 +306,23 @@ def test_jobs_byte_identical(tmp_path, capsys):
     run_cli(capsys, "analyze", str(proj), "--jobs", "1", "--out", str(out1))
     run_cli(capsys, "analyze", str(proj), "--jobs", "8", "--out", str(out8))
     assert out1.read_bytes() == out8.read_bytes()
+
+
+# A 600-term sum inside a function: lowering it to a CFG recurses past
+# Python's limit, so analyzing this one file raises.
+DEEP = b"int f(void) { int x = " + b"+".join([b"1"] * 600) + b"; return x; }\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_analyze_crashing_file_is_skipped_not_fatal(tmp_path, capsys, jobs):
+    proj = tmp_path / "proj"
+    proj.mkdir()
+    (proj / "deep.c").write_bytes(DEEP)
+    (proj / "smelly.c").write_bytes(SMELLY)
+    code, out, err = run_cli(capsys, "analyze", str(proj), "--jobs", jobs)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["stats"] == {"double-free": 1}
+    assert doc["files_analyzed"] == 1
+    assert doc["files_skipped"] == 1
+    assert "deep.c" in err and "RecursionError" in err

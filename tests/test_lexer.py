@@ -1,9 +1,13 @@
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wasmsmell.lexer import (
+    _LITERALS,
+    _TOKEN_RE,
+    KEYWORDS,
     KIND_KEYWORD,
     KIND_CHAR,
     KIND_IDENT,
@@ -11,8 +15,14 @@ from wasmsmell.lexer import (
     KIND_PUNCT,
     KIND_STRING,
     KIND_WSTRING,
+    Diagnostic,
+    Span,
+    Token,
+    _directive,
+    _LineIndex,
     decode_source,
     lex,
+    scan,
 )
 from wasmsmell.cparser import parse_source
 
@@ -137,3 +147,81 @@ _EDGE_ATOMS = ['"', "'", "\\", "#", "/", "*", "\n", "\\\n", "/*", "*/", " ", "\t
 def test_parse_source_tokens_match_the_source_at_their_span(text):
     for t in parse_source(text).tokens:
         assert text[t.span.offset : t.span.offset + t.span.length] == t.lexeme
+
+
+@pytest.mark.parametrize("quote, kind, message", [
+    ('"', KIND_STRING, "unterminated string literal"),
+    ("'", KIND_CHAR, "unterminated char literal"),
+])
+def test_literal_ending_in_a_lone_backslash_at_end_of_input(quote, kind, message):
+    text = f"x = {quote}a /* b\\"
+    tokens, diags = lex(text)
+    assert lexemes(tokens) == ["x", "=", f"{quote}a /* b\\"]
+    assert tokens[-1].kind == kind
+    assert [d.message for d in diags] == [message]
+
+
+def test_diagnostic_contract():
+    span = Span(0, 1, 1, 1)
+    d = Diagnostic(span, "unexpected byte '@'")
+    assert Diagnostic._fields == ("span", "message", "severity")
+    assert d.severity == "recovered"
+    assert repr(d) == (
+        "Diagnostic(span=Span(offset=0, line=1, col=1, length=1), "
+        "message=\"unexpected byte '@'\", severity='recovered')"
+    )
+    assert hash(d) == hash(Diagnostic(span, "unexpected byte '@'", "recovered"))
+    assert len({d, Diagnostic(span, "unexpected byte '@'")}) == 1
+    assert lex("@")[1] == [d]
+
+
+def reference_scan(text):
+    """The scan as a plain loop: one match per token, spans through
+    _LineIndex, and one token and one diagnostic per unlexable character."""
+    index = _LineIndex(text)
+    tokens, diags, includes = [], [], []
+    resumed = pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or m.lastgroup == "junk":
+            span = index.span(pos, 1)
+            tokens.append(Token(KIND_PUNCT, text[pos], span))
+            diags.append(Diagnostic(span, f"unexpected byte {text[pos]!r}"))
+            pos += 1
+            continue
+        kind, lexeme = m.lastgroup, m.group()
+        span = index.span(pos, len(lexeme))
+        if kind == "unclosed":
+            diags.append(Diagnostic(span, "unterminated comment"))
+        elif lexeme == "#" and (not tokens or tokens[-1].span.end <= text.rfind("\n", 0, pos) + 1):
+            gap = max(tokens[-1].span.end if tokens else 0, resumed)
+            pos = resumed = _directive(text, gap, pos, index, diags, includes)
+            continue
+        elif kind == "ident":
+            tokens.append(Token(KIND_KEYWORD if lexeme in KEYWORDS else KIND_IDENT, lexeme, span))
+        elif kind == "punct":
+            tokens.append(Token(KIND_PUNCT, lexeme, span))
+        elif kind == "num":
+            tokens.append(Token(KIND_INT, lexeme, span))
+        elif kind in _LITERALS:
+            tk, quote, shortest, message = _LITERALS[kind]
+            if len(lexeme) < shortest or not lexeme.endswith(quote):
+                diags.append(Diagnostic(span, message))
+            tokens.append(Token(tk, lexeme, span))
+        pos = m.end()
+    return tokens, diags, includes
+
+
+# Unlexable characters (U+FFFD, control bytes, @ $ `, a non-ASCII letter)
+# next to quotes, backslashes, directives, comment markers and newlines.
+_JUNK_ATOMS = [
+    "\ufffd", "\ufffd\ufffd", "\x00", "\x01", "\x1b", "\x7f", "@", "$", "`", "\u00e9",
+    '"', "'", "L", "\\", "#", "/", "*", "/*", "*/", "//", "\n", "\\\n", " ", "\x0c",
+    "a", "1", ";", "{", "}", "include", "<x.h>", '"y.h"',
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_JUNK_ATOMS), max_size=80).map("".join))
+def test_scan_equals_the_reference_loop(text):
+    assert scan(text) == reference_scan(text)
