@@ -4,6 +4,11 @@ Lowers the structured AST into basic blocks of simplified statements.
 Calls nested inside expressions are hoisted into explicit CallStmt
 temporaries so that flow checkers observe every call event, and
 short-circuit conditions become nested branches.
+
+The parser's DeclInfo is the one declared-type record: Scopes.symbols,
+Assign.decl, CallStmt.target_decl and FlowGraph.symbols hold the very
+objects the parser made. Every block statement is an Assign or a
+CallStmt, and every terminator a CondBranch, a ReturnStmt or None.
 """
 
 from __future__ import annotations
@@ -19,33 +24,6 @@ EDGE_FALSE = "branch-false"
 EDGE_BACK = "back-edge"
 
 
-@dataclass
-class DeclType:
-    base: str
-    ptr_depth: int = 0
-    is_array: bool = False
-    is_param: bool = False
-    has_init: bool = False
-    span: Span | None = None
-    original: str = ""
-
-    @property
-    def pointerish(self) -> bool:
-        return self.ptr_depth > 0 or self.is_array
-
-
-def _decl_type(info: DeclInfo, span: Span) -> DeclType:
-    return DeclType(
-        base=info.base,
-        ptr_depth=info.ptr_depth,
-        is_array=info.is_array,
-        is_param=info.is_param,
-        has_init=info.has_init,
-        span=span,
-        original=info.name,
-    )
-
-
 class Scopes:
     """C block scoping: a name is visible from its declaration to the end
     of its block. A redeclared `x` gets the unique name `x@2`, `x@3`, ..."""
@@ -53,7 +31,7 @@ class Scopes:
     def __init__(self):
         self.stack: list[dict[str, str]] = [{}]
         self.name_counts: dict[str, int] = {}
-        self.symbols: dict[str, DeclType] = {}  # unique name -> declared type
+        self.symbols: dict[str, DeclInfo] = {}  # unique name -> declared type
 
     def push(self):
         self.stack.append({})
@@ -61,17 +39,17 @@ class Scopes:
     def pop(self):
         self.stack.pop()
 
-    def declare(self, info: DeclInfo, span: Span) -> str:
+    def declare(self, info: DeclInfo) -> str:
         count = self.name_counts.get(info.name, 0) + 1
         self.name_counts[info.name] = count
         unique = info.name if count == 1 else f"{info.name}@{count}"
         self.stack[-1][info.name] = unique
-        self.symbols[unique] = _decl_type(info, span)
+        self.symbols[unique] = info
         return unique
 
     def declare_params(self, func: AstNode) -> list[str]:
         return [
-            self.declare(p.decl, p.span)
+            self.declare(p.decl)
             for p in func.children[:-1]
             if p.kind == "Decl" and p.decl is not None
         ]
@@ -92,7 +70,7 @@ class Assign:
     target: str
     expr: AstNode | None  # None = declaration without initializer
     span: Span
-    decl: DeclType | None = None
+    decl: DeclInfo | None = None  # set on a declaration without initializer
 
 
 @dataclass
@@ -101,7 +79,7 @@ class CallStmt:
     args: list[AstNode]
     target: str | None
     span: Span
-    target_decl: DeclType | None = None
+    target_decl: DeclInfo | None = None
 
 
 @dataclass
@@ -113,11 +91,6 @@ class CondBranch:
 @dataclass
 class ReturnStmt:
     expr: AstNode | None
-    span: Span
-
-
-@dataclass
-class Nop:
     span: Span
 
 
@@ -141,7 +114,7 @@ class FlowGraph:
     blocks: list[BasicBlock]
     entry: int
     edges: list[Edge]
-    symbols: dict[str, DeclType]  # unique var name -> declared type
+    symbols: dict[str, DeclInfo]  # unique var name -> declared type
     params: list[str]
     loop_entries: dict[int, int] = field(default_factory=dict)  # body block -> header
     _succ: dict[int, list[Edge]] = field(init=False, repr=False, compare=False)
@@ -162,7 +135,6 @@ class _Lowerer:
         self.edges: list[Edge] = []
         self.scopes = Scopes()
         self.symbols = self.scopes.symbols
-        self.loop_headers: list[int] = []
         self.loop_body_entries: dict[int, int] = {}
         self.temp_counter = 0
         self.current = self.new_block()
@@ -175,8 +147,6 @@ class _Lowerer:
         return blk
 
     def edge(self, src: BasicBlock, dst: BasicBlock, label: str = EDGE_FALLTHROUGH):
-        if dst.id in self.loop_headers and label == EDGE_FALLTHROUGH:
-            label = EDGE_BACK
         self.edges.append(Edge(src.id, dst.id, label))
 
     def emit(self, stmt):
@@ -254,7 +224,7 @@ class _Lowerer:
         self.lower_expr(lhs)
         return self.lower_expr(rhs)
 
-    def assign_to(self, target: str, rhs: AstNode, span: Span, decl: DeclType | None = None) -> AstNode:
+    def assign_to(self, target: str, rhs: AstNode, span: Span) -> AstNode:
         """Emit target = rhs; calls become CallStmt with a result target."""
         core = rhs
         while core.kind == "Cast":
@@ -262,11 +232,11 @@ class _Lowerer:
         if core.kind == "Call":
             args = [self.lower_expr(a) for a in core.children[1:]]
             self.emit(
-                CallStmt(core.name, args, target, span, target_decl=decl or self.symbols.get(target))
+                CallStmt(core.name, args, target, span, target_decl=self.symbols.get(target))
             )
         else:
             expr = self.lower_expr(rhs)
-            self.emit(Assign(target, expr, span, decl=decl))
+            self.emit(Assign(target, expr, span))
         return AstNode("Ident", span, name=target)
 
     # -- statement lowering ------------------------------------------------
@@ -284,12 +254,11 @@ class _Lowerer:
         elif kind == "Decl":
             if node.decl is None:
                 return
-            unique = self.scopes.declare(node.decl, node.span)
-            dt = self.symbols[unique]
+            unique = self.scopes.declare(node.decl)
             if node.children:
-                self.assign_to(unique, node.children[0], node.span, decl=dt)
+                self.assign_to(unique, node.children[0], node.span)
             else:
-                self.emit(Assign(unique, None, node.span, decl=dt))
+                self.emit(Assign(unique, None, node.span, decl=node.decl))
         elif kind == "ExprStmt":
             if not node.children:
                 return
@@ -298,32 +267,40 @@ class _Lowerer:
             if expr.kind not in ("Ident", "Literal"):
                 self.emit(Assign(self.fresh_temp(), expr, node.span))
         elif kind == "If":
-            cond = node.children[0]
-            then_blk = self.new_block()
-            else_blk = self.new_block()
-            join = self.new_block() if len(node.children) > 2 else else_blk
-            self.lower_condition(cond, then_blk, else_blk)
-            self.current = then_blk
-            self.lower_stmt(node.children[1])
-            self.edge(self.current, join)
-            if len(node.children) > 2:
-                self.current = else_blk
-                self.lower_stmt(node.children[2])
+            # An else-if chain (a desugared switch can have hundreds of
+            # arms) is lowered arm by arm in a loop, not by recursion.
+            joins = []
+            while True:
+                then_blk = self.new_block()
+                else_blk = self.new_block()
+                has_else = len(node.children) > 2
+                join = self.new_block() if has_else else else_blk
+                self.lower_condition(node.children[0], then_blk, else_blk)
+                self.current = then_blk
+                self.lower_stmt(node.children[1])
                 self.edge(self.current, join)
-            self.current = join
+                self.current = else_blk
+                if not has_else:
+                    break
+                joins.append(join)
+                node = node.children[2]
+                if node.kind != "If":
+                    self.lower_stmt(node)
+                    break
+            for join in reversed(joins):  # innermost arm first
+                self.edge(self.current, join)
+                self.current = join
         elif kind == "While":
             header = self.new_block()
             self.edge(self.current, header)
             body_blk = self.new_block()
             exit_blk = self.new_block()
             self.current = header
-            self.loop_headers.append(header.id)
             self.loop_body_entries[body_blk.id] = header.id
             self.lower_condition(node.children[0], body_blk, exit_blk)
             self.current = body_blk
             self.lower_stmt(node.children[1])
             self.edge(self.current, header, EDGE_BACK)
-            self.loop_headers.pop()
             self.current = exit_blk
         elif kind == "For":
             init, cond, step, body = node.children
@@ -333,22 +310,18 @@ class _Lowerer:
             body_blk = self.new_block()
             exit_blk = self.new_block()
             self.current = header
-            self.loop_headers.append(header.id)
             self.loop_body_entries[body_blk.id] = header.id
             self.lower_condition(cond, body_blk, exit_blk)
             self.current = body_blk
             self.lower_stmt(body)
             self.lower_stmt(step)
             self.edge(self.current, header, EDGE_BACK)
-            self.loop_headers.pop()
             self.current = exit_blk
         elif kind == "Return":
             expr = self.lower_expr(node.children[0]) if node.children else None
             self.current.terminator = ReturnStmt(expr, node.span)
             self.current = self.new_block()  # unreachable unless jumped to
-        elif kind == "SkippedRegion":
-            self.emit(Nop(node.span))
-        else:  # stray expression nodes used as statements
+        else:  # stray expressions; a childless SkippedRegion lowers to nothing
             self.lower_expr(node)
 
     def lower_condition(self, cond: AstNode, then_blk: BasicBlock, else_blk: BasicBlock):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfg import Scopes
-from .cparser import AstNode
+from .cparser import AstNode, DeclInfo
 from .engine import Checker, Init, Null, Resource
 from .lexer import KIND_CHAR, KIND_INT, KIND_STRING, KIND_WSTRING
 from .report import Finding
@@ -123,7 +123,7 @@ class UninitializedVariableChecker(Checker):
         decl = ctx.decl_of(var)
         if decl is None or decl.is_param or decl.is_array:
             return
-        ctx.report(self, span, f"variable '{decl.original}' may be read before it is initialized")
+        ctx.report(self, span, f"variable '{decl.name}' may be read before it is initialized")
 
 
 class BadFputsComparisonChecker(Checker):
@@ -230,13 +230,12 @@ T_PTR = "ptr"
 T_UNKNOWN = "unknown"
 
 
-def _type_from_text(base: str, ptr_depth: int, is_array: bool) -> str:
-    words = base.split()
-    pointerish = ptr_depth > 0 or is_array
-    if pointerish:
-        if "char" in words and ptr_depth <= 1:
+def _type_from_decl(decl: DeclInfo) -> str:
+    words = decl.base.split()
+    if decl.pointerish:
+        if "char" in words and decl.ptr_depth <= 1:
             return T_STR
-        if "wchar_t" in words and ptr_depth <= 1:
+        if "wchar_t" in words and decl.ptr_depth <= 1:
             return T_WSTR
         return T_PTR
     if any(w in _FLOAT_BASES for w in words):
@@ -268,12 +267,10 @@ def expr_type(expr: AstNode, scopes: Scopes) -> str:
         unique = scopes.resolve(expr.name)
         if unique is None:
             return T_UNKNOWN
-        dt = scopes.symbols[unique]
-        return _type_from_text(dt.base, dt.ptr_depth, dt.is_array)
+        return _type_from_decl(scopes.symbols[unique])
     if kind == "Cast":
         text = expr.value or ""
-        ptr_depth = text.count("*")
-        return _type_from_text(text.replace("*", " "), ptr_depth, False)
+        return _type_from_decl(DeclInfo("", text.replace("*", " "), text.count("*")))
     if kind == "Unary":
         op = expr.value
         if op == "&":
@@ -409,7 +406,7 @@ def _scan(root: AstNode, scopes: Scopes, declare: bool, enabled, result: Structu
             stack.append(None)
         elif kind == "Decl":
             if declare and n.decl is not None:
-                scopes.declare(n.decl, n.span)
+                scopes.declare(n.decl)
         elif kind == "Call":
             if n.name == "getenv" and "access-env" in enabled:
                 result.findings.append(

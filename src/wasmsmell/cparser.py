@@ -51,6 +51,10 @@ class DeclInfo:
     has_init: bool = False
     is_param: bool = False
 
+    @property
+    def pointerish(self) -> bool:
+        return self.ptr_depth > 0 or self.is_array
+
 
 @dataclass
 class AstNode:
@@ -658,11 +662,23 @@ class Parser:
         ["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="]
     )
 
+    _POSTFIX_OPS = frozenset(["(", "[", ".", "->", "++", "--"])
+
+    @staticmethod
+    def _chain(depth: int) -> int:
+        """One more operator in a left-associative chain: a chain nests its
+        tree as deeply as recursion would, so it counts toward the limit."""
+        depth += 1
+        if depth > MAX_EXPR_DEPTH:
+            raise _ParseError("expression too deeply nested")
+        return depth
+
     def parse_expression(self, depth: int) -> AstNode:
         if depth > MAX_EXPR_DEPTH:
             raise _ParseError("expression too deeply nested")
         expr = self.parse_assignment(depth + 1)
         while self.at(","):
+            depth = self._chain(depth)
             self.advance()
             rhs = self.parse_assignment(depth + 1)
             expr = AstNode("Binary", _join_span(expr.span, rhs.span), [expr, rhs], value=",")
@@ -700,6 +716,7 @@ class Parser:
             t = self.peek()
             if t is None or t.lexeme not in ops:
                 return lhs
+            depth = self._chain(depth)
             op = self.advance().lexeme
             rhs = self.parse_binary(level + 1, depth + 1)
             lhs = AstNode("Binary", _join_span(lhs.span, rhs.span), [lhs, rhs], value=op)
@@ -765,8 +782,9 @@ class Parser:
         expr = self.parse_primary(depth + 1)
         while True:
             t = self.peek()
-            if t is None:
+            if t is None or t.lexeme not in self._POSTFIX_OPS:
                 return expr
+            depth = self._chain(depth)
             if t.lexeme == "(":
                 args = self.parse_call_args(depth + 1)
                 callee = expr.name if expr.kind == "Ident" else None
@@ -792,13 +810,11 @@ class Parser:
                     [expr, AstNode("Ident", member.span, name=member.lexeme)],
                     value=op,
                 )
-            elif t.lexeme in ("++", "--"):
+            else:  # ++ or --
                 op = self.advance().lexeme
                 expr = AstNode(
                     "Unary", self.span_from(start), [expr], value=op
                 )
-            else:
-                return expr
 
     def parse_call_args(self, depth: int) -> list[AstNode]:
         self.expect("(")

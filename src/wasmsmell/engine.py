@@ -33,11 +33,10 @@ from .cfg import (
     Assign,
     CallStmt,
     CondBranch,
-    DeclType,
     FlowGraph,
     ReturnStmt,
 )
-from .cparser import AstNode
+from .cparser import AstNode, DeclInfo
 from .lexer import Span
 from .report import Finding
 
@@ -180,7 +179,7 @@ class Engine:
         self._next_sym += 1
         return self._next_sym
 
-    def decl_of(self, var: str) -> DeclType | None:
+    def decl_of(self, var: str) -> DeclInfo | None:
         return self.fg.symbols.get(var)
 
     def report(self, checker: Checker, span: Span, message: str):
@@ -306,12 +305,7 @@ class Engine:
             if op == ",":
                 return syms[-1]
             return self.new_value(state)
-        if kind == "Call":
-            # calls are hoisted by lowering; a residual one is opaque
-            for arg in node.children[1:]:
-                self.eval_expr(state, arg)
-            return self.new_value(state, origin=node.name or "call")
-        # SkippedRegion or anything unexpected
+        # SkippedRegion, or any other kind lowering leaves (calls are hoisted)
         return self.new_value(state)
 
     def derive(self, state: PathState, base: int, offset: int | None) -> int:
@@ -324,8 +318,8 @@ class Engine:
         while expr.kind == "Cast":
             expr = expr.children[0]
         if expr.kind == "Ident":
-            dt = self.decl_of(expr.name)
-            if dt is not None and dt.pointerish:
+            decl = self.decl_of(expr.name)
+            if decl is not None and decl.pointerish:
                 return True
         root, _ = self.base_offset(state, sym)
         return state.resource.get(root) in (
@@ -339,11 +333,8 @@ class Engine:
     def apply_transfer(self, state: PathState, stmt):
         if isinstance(stmt, Assign):
             self._transfer_assign(state, stmt)
-        elif isinstance(stmt, CallStmt):
+        else:
             self._transfer_call(state, stmt)
-        elif isinstance(stmt, ReturnStmt):
-            if stmt.expr is not None:
-                self.eval_expr(state, stmt.expr)
 
     def _transfer_assign(self, state: PathState, stmt: Assign):
         if stmt.expr is None:

@@ -1,3 +1,6 @@
+import random
+
+from conftest import FIXTURES
 from wasmsmell.cfg import (
     EDGE_BACK,
     EDGE_FALSE,
@@ -5,6 +8,7 @@ from wasmsmell.cfg import (
     Assign,
     CallStmt,
     CondBranch,
+    ReturnStmt,
     build_cfg,
 )
 from wasmsmell.cparser import parse_source
@@ -151,3 +155,31 @@ def test_declared_types_in_symbols():
     s2 = fg.symbols["string2"]
     assert s2.base == "char" and s2.is_array
     assert "missing" not in fg.symbols
+
+
+def test_lowering_emits_only_what_the_engine_reads():
+    # Over the fixtures, the first 200 criterion-5 inputs and a function
+    # with a skipped region and calls in every position: every block
+    # statement is an Assign or a CallStmt, every terminator a CondBranch,
+    # a ReturnStmt or None, and no lowered expression still holds a call.
+    rng = random.Random(1234)
+    sources = [rng.randbytes(rng.randrange(0, 4097)) for _ in range(200)]
+    sources += [p.read_bytes() for p in sorted(FIXTURES.rglob("*.c"))]
+    sources.append(
+        b"int f(int a, int *p) { do { a--; } while (a); p[g(a)] += h(a); "
+        b"while (k(a) && !k(a + 1)) a = (int)m(a), n(a); return r(s(a)) + 1; }"
+    )
+    functions = 0
+    for source in sources:
+        for top in parse_source(source).unit.children:
+            if top.kind != "FunctionDef":
+                continue
+            functions += 1
+            for blk in build_cfg(top).blocks:
+                assert all(isinstance(s, (Assign, CallStmt)) for s in blk.stmts)
+                assert blk.terminator is None or isinstance(blk.terminator, (CondBranch, ReturnStmt))
+                exprs = [s.expr for s in blk.stmts if isinstance(s, Assign)]
+                exprs += [a for s in blk.stmts if isinstance(s, CallStmt) for a in s.args]
+                exprs.append(getattr(blk.terminator, "expr", None))
+                assert not any(n.kind == "Call" for e in exprs if e is not None for n in e.walk())
+    assert functions > 20

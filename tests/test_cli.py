@@ -6,6 +6,7 @@ import tempfile
 import pytest
 
 from conftest import FIXTURES, SMELLS
+from wasmsmell import analysis
 from wasmsmell.checkers import all_checker_ids
 from wasmsmell.cli import main
 
@@ -308,13 +309,21 @@ def test_jobs_byte_identical(tmp_path, capsys):
     assert out1.read_bytes() == out8.read_bytes()
 
 
-# A 600-term sum inside a function: lowering it to a CFG recurses past
-# Python's limit, so analyzing this one file raises.
 DEEP = b"int f(void) { int x = " + b"+".join([b"1"] * 600) + b"; return x; }\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_analyze_crashing_file_is_skipped_not_fatal(tmp_path, capsys, jobs):
+def test_analyze_crashing_file_is_skipped_not_fatal(tmp_path, capsys, monkeypatch, jobs):
+    # No input is known to crash analyze_source, so the crash is injected:
+    # parsing deep.c raises as a runaway recursion would.
+    real_parse = analysis.parse_source
+
+    def parse(source):
+        if source == DEEP:
+            raise RecursionError("maximum recursion depth exceeded")
+        return real_parse(source)
+
+    monkeypatch.setattr(analysis, "parse_source", parse)
     proj = tmp_path / "proj"
     proj.mkdir()
     (proj / "deep.c").write_bytes(DEEP)

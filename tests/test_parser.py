@@ -1,10 +1,14 @@
 import string
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wasmsmell.cparser import parse_source
+from wasmsmell import analyze_source
+from wasmsmell.checkers import all_checker_ids
+from wasmsmell.cparser import AstNode, parse_source
+from wasmsmell.lexer import Span
 
 
 def functions(unit):
@@ -109,7 +113,14 @@ def test_walk_is_recursive_preorder():
 
 
 def test_walk_long_file_scope_sum():
-    unit = parse_source("int x = " + "+".join(["1"] * 3000) + ";").unit
+    # The parser turns a chain this long into a SkippedRegion, so the
+    # tree of `int x = 1+1+...+1;` is built by hand.
+    span = Span(0, 1, 1, 1)
+    expr = AstNode("Literal", span, value="1")
+    for _ in range(2999):
+        expr = AstNode("Binary", span, [expr, AstNode("Literal", span, value="1")], value="+")
+    decl = AstNode("Decl", span, [expr], name="x")
+    unit = AstNode("TranslationUnit", span, [decl])
     assert sum(n.kind == "Literal" for n in unit.walk()) == 3000
 
 
@@ -121,6 +132,49 @@ def test_deeply_nested_parens_hit_depth_limit_not_recursion():
 def test_deeply_nested_blocks_hit_depth_limit_not_recursion():
     res = parse_source("int f(void) { " + "{" * 600 + "}" * 600 + " }")
     assert res.unit.kind == "TranslationUnit"
+
+
+def _sum(n):
+    return " + ".join(["a"] * n)
+
+
+# Inputs that once raised RecursionError in analyze_source: long chains of a
+# left-associative operator, and a switch desugared into a long else-if chain.
+CRASH_INPUTS = {
+    "sum": "int f(int a) { return " + _sum(3000) + "; }",
+    "arrow": "int f(struct s *p) { return p" + "->n" * 3000 + "; }",
+    "index": "int f(int *p) { return p" + "[0]" * 3000 + "; }",
+    "and": "int f(int a) { if (" + " && ".join(["a"] * 3000) + ") return 1; return 0; }",
+    "comma": "int f(int a) { return (" + ", ".join(["a"] * 3000) + "); }",
+    "switch": "int f(int a) { switch (a) { "
+    + "".join(f"case {i}: a = {i}; break; " for i in range(1000))
+    + "} return a; }",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRASH_INPUTS))
+def test_analyze_source_total_on_long_chains(name):
+    source = CRASH_INPUTS[name].encode()
+    result = analyze_source(source, "x.c", all_checker_ids())
+    skipped = find_kind(parse_source(source).unit, "SkippedRegion")
+    if name == "switch":
+        # one path per case, and one that matches none
+        assert result.paths_explored == 1001 and skipped == []
+    else:
+        assert [n.value for n in skipped] == ["expression too deeply nested"]
+
+
+def test_longest_chain_that_parses_is_analyzed_deep_in_the_stack():
+    # The longest sum a `return` keeps, under 149 nested ifs, analyzed from
+    # 120 frames down: every recursive stage stays inside the stack.
+    source = ("int f(int a) { " + "if (a) " * 149 + "return " + _sum(137) + "; return 0; }").encode()
+    assert not find_kind(parse_source(source).unit, "SkippedRegion")
+    assert find_kind(parse_source(source.replace(b"a;", b"a + a;")).unit, "SkippedRegion")
+
+    def nested(depth):
+        return nested(depth - 1) if depth else analyze_source(source, "x.c", all_checker_ids())
+
+    assert nested(120).paths_explored == 150
 
 
 @settings(max_examples=300, deadline=None)
