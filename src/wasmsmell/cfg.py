@@ -1,9 +1,9 @@
 """Per-function control-flow graphs and the block scoping they share.
 
 Lowers the structured AST into basic blocks of simplified statements.
-Calls nested inside expressions are hoisted into explicit CallStmt
-temporaries so that flow checkers observe every call event, and
-short-circuit conditions become nested branches.
+Calls nested inside expressions, callee expressions included, are
+hoisted into explicit CallStmt temporaries so that flow checkers observe
+every call event, and short-circuit conditions become nested branches.
 
 The parser's DeclInfo is the one declared-type record: Scopes.symbols,
 Assign.decl, CallStmt.target_decl and FlowGraph.symbols hold the very
@@ -172,7 +172,7 @@ class _Lowerer:
         if kind == "Literal":
             return node
         if kind == "Call":
-            args = [self.lower_expr(a) for a in node.children[1:]]
+            args = self.lower_call(node)
             tmp = self.fresh_temp()
             self.emit(CallStmt(node.name, args, tmp, node.span))
             return AstNode("Ident", node.span, name=tmp)
@@ -209,6 +209,14 @@ class _Lowerer:
             return node
         return AstNode(kind, node.span, children, name=node.name, value=node.value, literal_kind=node.literal_kind)
 
+    def lower_call(self, call: AstNode) -> list[AstNode]:
+        """Hoist the calls in a callee expression such as `pick(x)(y)`,
+        then lower and return the arguments."""
+        callee = call.children[0]
+        if callee.kind != "Ident":
+            self.lower_expr(callee)
+        return [self.lower_expr(a) for a in call.children[1:]]
+
     def lower_assign_rhs(self, lhs: AstNode, op: str, rhs: AstNode, span: Span) -> AstNode:
         if lhs.kind == "Ident":
             target = self.resolve(lhs.name)
@@ -230,7 +238,7 @@ class _Lowerer:
         while core.kind == "Cast":
             core = core.children[0]
         if core.kind == "Call":
-            args = [self.lower_expr(a) for a in core.children[1:]]
+            args = self.lower_call(core)
             self.emit(
                 CallStmt(core.name, args, target, span, target_decl=self.symbols.get(target))
             )

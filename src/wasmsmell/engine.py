@@ -19,6 +19,14 @@ those of a full walk at every budget, so findings stay monotone in
 not the work done. A hit that would pass the budget stops the walk at
 ``max_paths`` as the full walk would have, partway through that
 subtree.
+
+Before the key is taken, the walk deletes every binding whose name is
+not live into the join block (``live_in``): the temporary of a hoisted
+call after its one use, or a block local after its block ends.
+``state_key`` then leaves out the symbols only those names reached. This
+keeps the memo exact: no path from the join reads a dead name before
+writing it, and every read of a symbol goes through a binding, so no
+later step can tell the two states apart.
 """
 
 from __future__ import annotations
@@ -161,6 +169,62 @@ def state_key(state: PathState) -> tuple:
         tuple(syms),
         frozenset(state.flags),
     )
+
+
+def _add_reads(node: AstNode, names: set[str]):
+    """Add the name of every Ident under `node` to `names`."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.kind == "Ident":
+            names.add(node.name)
+        else:
+            stack.extend(node.children)
+
+
+def live_in(fg: FlowGraph) -> dict[int, set[str]]:
+    """The names live on entry to each block: read on some path from there
+    before they are written.
+
+    Every ``Ident`` in an ``Assign``'s expression, a ``CallStmt``'s
+    arguments or a terminator's expression is a read, also one under ``&``
+    or in a node ``eval_expr`` does not enter, so the sets over-approximate.
+    An ``Assign``'s target and a ``CallStmt``'s target are writes. Back
+    edges are followed to a fixpoint.
+    """
+    gen: dict[int, set[str]] = {}
+    kill: dict[int, set[str]] = {}
+    preds: dict[int, list[int]] = {}
+    for e in fg.edges:
+        preds.setdefault(e.dst, []).append(e.src)
+    for blk in fg.blocks:
+        live: set[str] = set()
+        writes: set[str] = set()
+        term = blk.terminator
+        if term is not None and term.expr is not None:
+            _add_reads(term.expr, live)
+        for stmt in reversed(blk.stmts):
+            if stmt.target is not None:
+                live.discard(stmt.target)
+                writes.add(stmt.target)
+            if isinstance(stmt, CallStmt):
+                for arg in stmt.args:
+                    _add_reads(arg, live)
+            elif stmt.expr is not None:
+                _add_reads(stmt.expr, live)
+        gen[blk.id] = live
+        kill[blk.id] = writes
+    result: dict[int, set[str]] = {b: set() for b in gen}
+    work = list(gen)  # the last block first
+    while work:
+        b = work.pop()
+        live = set(gen[b])
+        for e in fg.successors(b):
+            live.update(result[e.dst] - kill[b])
+        if live != result[b]:
+            result[b] = live
+            work.extend(preds.get(b, ()))
+    return result
 
 
 class Engine:
@@ -439,7 +503,8 @@ class Engine:
         incoming: dict[int, int] = {}
         for e in self.fg.edges:
             incoming[e.dst] = incoming.get(e.dst, 0) + 1
-        joins = {b for b, n in incoming.items() if n >= 2}
+        live = live_in(self.fg)
+        joins = {b: live[b] for b, n in incoming.items() if n >= 2}
         # Paths under each finished join-block subtree, by (block, counters, state key).
         memo: dict[tuple, int] = {}
 
@@ -453,7 +518,11 @@ class Engine:
             if report.paths_explored >= max_paths:
                 report.exhausted = True
                 break
-            if block_id in joins:
+            live_here = joins.get(block_id)
+            if live_here is not None:
+                bindings = state.bindings  # dead names go before the key
+                for name in [n for n in bindings if n not in live_here]:
+                    del bindings[name]
                 key = (block_id, tuple(sorted(backcounts.items())), state_key(state))
                 n = memo.get(key)
                 if n is not None:

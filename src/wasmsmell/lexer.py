@@ -97,10 +97,10 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-_LITERALS = {  # group: token kind, closing quote, shortest closed length, diagnostic
-    "string": (KIND_STRING, '"', 2, "unterminated string literal"),
-    "wstring": (KIND_WSTRING, '"', 3, "unterminated wide string literal"),
-    "char": (KIND_CHAR, "'", 2, "unterminated char literal"),
+_LITERALS = {  # group: token kind, quote, diagnostic when unterminated
+    "string": (KIND_STRING, '"', "unterminated string literal"),
+    "wstring": (KIND_WSTRING, '"', "unterminated wide string literal"),
+    "char": (KIND_CHAR, "'", "unterminated char literal"),
 }
 
 # Matched against directive lines with their comments blanked to spaces.
@@ -108,6 +108,18 @@ _LITERALS = {  # group: token kind, closing quote, shortest closed length, diagn
 # report that line.
 _INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*(?:<([^>\n]+)>|"([^"\n]+)")', re.MULTILINE)
 _NOT_NEWLINE = re.compile(r"[^\n]")
+
+
+def _closed(lexeme: str, quote: str) -> bool:
+    """Whether a literal ends in a closing quote: a quote after the opening
+    one, preceded by an even number of backslashes. A literal that stops at
+    a newline or the end of the input right after an escaped quote, or
+    right after its opening quote, is unterminated."""
+    opening = lexeme.index(quote)
+    if len(lexeme) - opening < 2 or lexeme[-1] != quote:
+        return False
+    body = lexeme[opening + 1 : -1]
+    return (len(body) - len(body.rstrip("\\"))) % 2 == 0
 
 
 def decode_source(data) -> str:
@@ -201,8 +213,8 @@ def scan(source) -> tuple[list[Token], list[Diagnostic], list[IncludeRef]]:
         elif kind == "num":
             tk = KIND_INT
         else:
-            tk, quote, shortest, message = _LITERALS[kind]
-            if end - pos < shortest or not lexeme.endswith(quote):
+            tk, quote, message = _LITERALS[kind]
+            if not _closed(lexeme, quote):
                 add_diag(_new_diag((span, message, "recovered")))
         add_token(_new_token((tk, lexeme, span)))
         pos = end

@@ -1,6 +1,7 @@
 import random
 
 from conftest import FIXTURES
+from wasmsmell import analyze_source
 from wasmsmell.cfg import (
     EDGE_BACK,
     EDGE_FALSE,
@@ -46,6 +47,17 @@ def test_call_hoisting_inner_before_outer():
     assert call_order(fg) == ["inner", "outer"]
     outer = [s for s in all_stmts(fg) if isinstance(s, CallStmt) and s.callee == "outer"][0]
     assert outer.target == "x"
+
+
+def test_calls_in_a_callee_expression_are_hoisted_first():
+    fg = cfg_of("int f(char *p) { int x = pick(free(p))(0); pick(g(p))(1); return x; }")
+    assert call_order(fg) == ["free", "pick", None, "g", "pick", None]
+    assert [s.target for s in all_stmts(fg) if isinstance(s, CallStmt)][2] == "x"
+
+
+def test_double_free_inside_a_callee_expression_is_found():
+    res = analyze_source(b"int f(char *p){ free(p); pick(free(p))(0); return 0; }", "x.c")
+    assert [(f.checker, f.line, f.col) for f in res.findings] == [("double-free", 1, 31)]
 
 
 def test_call_result_through_cast_keeps_target():

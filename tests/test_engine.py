@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import time
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import FIXTURES
 from wasmsmell import analyze_source
 from wasmsmell.cfg import build_cfg
 from wasmsmell.cparser import parse_source
+from wasmsmell import engine
 from wasmsmell.engine import Budget, Init, Null, PathState, Resource, analyze_function, state_key
 from wasmsmell.checkers import all_checker_ids, make_flow_checkers, default_checker_ids
 
@@ -174,7 +176,9 @@ def test_analyze_source_stamps_relative_path():
 # the full walk (the engine before its subtree memo) reported. Every function
 # has memo hits that land exactly on the budget and hits that overshoot it.
 # The `x = 5` branch in the loops brings a loop header back to one state under
-# different loop counters.
+# different loop counters. The last three merge only once dead bindings are
+# dropped at joins: a hoisted call's temporary, a block local after its block,
+# and a loop variable that stays live around the back edge.
 GRID_FUNCTIONS = {
     "if_chain_double_free": (2, """
     int f(int a, int b, int c) {
@@ -231,6 +235,36 @@ GRID_FUNCTIONS = {
         }
         use(d);
         return 0;
+    }
+    """),
+    "call_bodied_if_chain": (2, """
+    int f(int a, int b, int c) {
+        char *p = (char *)malloc(8);
+        if (a) { use(a); } else { free(p); free(p); }
+        if (b) { use(b); }
+        if (c) { use(c); }
+        if (a > c) { use(a); }
+        return 0;
+    }
+    """),
+    "branch_local_dead_after_if": (2, """
+    int f(int a, int b) {
+        char *p = (char *)malloc(8);
+        if (a) { char *q = (char *)malloc(4); use(q); free(q); } else { free(p); }
+        if (b) { char *r = p; free(r); }
+        if (a > b) { use(b); }
+        free(p);
+        return 0;
+    }
+    """),
+    "loop_carried_header_read": (2, """
+    int f(int n, int a) {
+        char *p = (char *)malloc(8);
+        int i = 0;
+        while (i < n) { if (a > i) { use(a); } else { free(p); } i = i + 1; }
+        if (a) { use(a); }
+        free(p);
+        return i;
     }
     """),
 }
@@ -298,3 +332,94 @@ def test_state_key_ignores_symbol_numbers_and_dead_symbols():
     b = PathState(bindings={"y": 2, "x": 1}, init={1: Init.INIT, 2: Init.UNINIT})
     b.resource[4] = Resource.FREED  # unreachable from the bindings
     assert state_key(a) == state_key(b)
+
+
+def test_call_bodied_if_chain_merges_at_every_join(monkeypatch):
+    body = "".join(f"    if (a > {i}) {{ use(a); }}\n" for i in range(12))
+    src = f"int f(int a) {{\n{body}    return 0;\n}}\n"
+    calls = 0
+    key = engine.state_key
+
+    def counting_key(state):
+        nonlocal calls
+        calls += 1
+        return key(state)
+
+    monkeypatch.setattr(engine, "state_key", counting_key)
+    _, report = run(src)
+    assert report.paths_explored == 4096
+    assert calls <= 2 * 12 + 2  # 8,190 when each use(a) temporary stays bound
+
+
+def random_function(rng: random.Random) -> str:
+    """A small function of if/else, loops, calls, free/malloc and block locals."""
+    budget = [6]  # branching statements left
+
+    def cond():
+        return rng.choice(["a > b", "p", "p == NULL", "q != NULL", "!q", "use(a)", "n", "b > 1"])
+
+    def var():
+        return rng.choice(["a", "b", "n", "d"])
+
+    def stmt(depth):
+        kinds = ["call", "free", "malloc", "assign", "local", "alias", "address"]
+        if depth < 3 and budget[0] > 0:
+            kinds += ["if", "ifelse", "loop", "block"] * 3
+        kind = rng.choice(kinds)
+        if kind in ("if", "ifelse", "loop"):
+            budget[0] -= 1
+        ptr = rng.choice(["p", "q"])
+        if kind == "call":
+            return f"use({var()});"
+        if kind == "free":
+            return f"free({ptr});"
+        if kind == "malloc":
+            return f"{ptr} = (char *)malloc(8);"
+        if kind == "assign":
+            return f"{var()} = {var()} + {rng.randint(0, 2)};"
+        if kind == "local":
+            return f"int t = use({var()}); use(t);"
+        if kind == "address":
+            return f"use(&{var()});"
+        if kind == "alias":
+            return f"char *r = {ptr}; {ptr} = r + {rng.randint(0, 1)};"
+        if kind == "if":
+            return f"if ({cond()}) {{ {stmts(depth + 1)} }}"
+        if kind == "ifelse":
+            return f"if ({cond()}) {{ {stmts(depth + 1)} }} else {{ {stmts(depth + 1)} }}"
+        if kind == "loop":
+            return f"while (n > {rng.randint(0, 2)}) {{ {stmts(depth + 1)} n = n - 1; }}"
+        return f"{{ char *r = (char *)malloc(4); {stmts(depth + 1)} free(r); }}"
+
+    def stmts(depth):
+        return " ".join(stmt(depth) for _ in range(rng.randint(1, 3)))
+
+    top = " ".join(stmt(0) for _ in range(rng.randint(2, 4)))
+    return f"int f(int a, int b, int n, char *p) {{ char *q = p; int d; {top} use(d); return a; }}"
+
+
+class _AllNames:
+    """A live set that holds every name, so no binding is deleted."""
+
+    def __contains__(self, name):
+        return True
+
+
+def test_engine_equals_the_full_walk_on_random_functions(monkeypatch):
+    rng = random.Random(20261019)
+    sources = [random_function(rng) for _ in range(200)]
+    budgets = [Budget(max_paths=k) for k in (1, 7, 64, 10**9)]
+
+    def outcomes():
+        out = []
+        for src in sources:
+            for budget in budgets:
+                findings, report = run(src, all_checker_ids(), budget)
+                out.append(([f.dedup_key for f in findings], report.paths_explored, report.exhausted))
+        return out
+
+    got = outcomes()
+    # The full walk: no memo hit, and no binding deleted at a join.
+    monkeypatch.setattr(engine, "state_key", lambda st: object())
+    monkeypatch.setattr(engine, "live_in", lambda fg: {b.id: _AllNames() for b in fg.blocks})
+    assert got == outcomes()

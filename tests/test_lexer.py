@@ -161,6 +161,24 @@ def test_literal_ending_in_a_lone_backslash_at_end_of_input(quote, kind, message
     assert [d.message for d in diags] == [message]
 
 
+@pytest.mark.parametrize("text, expected, message", [
+    ('x = "ab\\"\ny;', ["x", "=", '"ab\\"', "y", ";"], "unterminated string literal"),
+    ("c = '\\'", ["c", "=", "'\\'"], "unterminated char literal"),
+    ("c = L'\n;", ["c", "=", "L'", ";"], "unterminated char literal"),
+])
+def test_literal_ending_in_an_escaped_or_opening_quote_is_unterminated(text, expected, message):
+    tokens, diags = lex(text)
+    assert lexemes(tokens) == expected
+    assert [(d.span, d.message) for d in diags] == [(tokens[2].span, message)]
+
+
+@pytest.mark.parametrize("literal", ['"ab\\\\"', "'\\''", '""', "L\"\\\"x\""])
+def test_literal_closed_after_escapes_has_no_diagnostic(literal):
+    tokens, diags = lex(f"x = {literal};")
+    assert lexemes(tokens) == ["x", "=", literal, ";"]
+    assert diags == []
+
+
 def test_diagnostic_contract():
     span = Span(0, 1, 1, 1)
     d = Diagnostic(span, "unexpected byte '@'")
@@ -173,6 +191,20 @@ def test_diagnostic_contract():
     assert hash(d) == hash(Diagnostic(span, "unexpected byte '@'", "recovered"))
     assert len({d, Diagnostic(span, "unexpected byte '@'")}) == 1
     assert lex("@")[1] == [d]
+
+
+def reference_closed(lexeme, quote):
+    """Whether the first unescaped quote after the opening one is the
+    literal's last character."""
+    i = lexeme.index(quote) + 1
+    while i < len(lexeme):
+        if lexeme[i] == "\\":
+            i += 2
+        elif lexeme[i] == quote:
+            return i == len(lexeme) - 1
+        else:
+            i += 1
+    return False
 
 
 def reference_scan(text):
@@ -204,8 +236,8 @@ def reference_scan(text):
         elif kind == "num":
             tokens.append(Token(KIND_INT, lexeme, span))
         elif kind in _LITERALS:
-            tk, quote, shortest, message = _LITERALS[kind]
-            if len(lexeme) < shortest or not lexeme.endswith(quote):
+            tk, quote, message = _LITERALS[kind]
+            if not reference_closed(lexeme, quote):
                 diags.append(Diagnostic(span, message))
             tokens.append(Token(tk, lexeme, span))
         pos = m.end()
