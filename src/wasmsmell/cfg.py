@@ -256,7 +256,7 @@ class _Lowerer:
             for child in node.children:
                 self.lower_stmt(child)
             self.scopes.pop()
-        elif kind == "DeclList":
+        elif kind == "DeclList" or kind == "Arm":  # no scope of their own
             for child in node.children:
                 self.lower_stmt(child)
         elif kind == "Decl":

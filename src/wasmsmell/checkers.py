@@ -392,8 +392,9 @@ def check_structural(unit: AstNode, enabled_ids) -> StructuralResult:
 
 
 def _scan(root: AstNode, scopes: Scopes, declare: bool, enabled, result: StructuralResult):
-    """Pre-order walk of `root`, scoping names as lowering does; a None on
-    the stack closes the innermost block."""
+    """Pre-order walk of `root`, scoping names as lowering does: only a
+    Block opens a scope (a DeclList or a switch Arm does not), and a None
+    on the stack closes the innermost one."""
     stack: list[AstNode | None] = [root]
     while stack:
         n = stack.pop()

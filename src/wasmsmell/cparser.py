@@ -21,6 +21,7 @@ from .lexer import (
     Diagnostic,
     Span,
     Token,
+    _new_span,
     scan,
 )
 
@@ -41,8 +42,34 @@ BUILTIN_TYPENAMES = frozenset(
     """.split()
 )
 
+# The binary operators by how tightly they bind, loosest first, as in C.
+# Assignment and `?:` group to the right, the rest to the left.
+_BINARY_LEVELS = [
+    (",",),
+    ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="),
+    ("?",),
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", ">", "<=", ">="),
+    ("<<", ">>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+]
+_COMMA, _ASSIGN, _COND = 0, 1, 2
+_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+# The lowest level a right operand folds at: its operator's own level when
+# that groups to the right, the next one up when it groups to the left.
+_RHS_LEVEL = [level + (level not in (_ASSIGN, _COND)) for level in range(len(_BINARY_LEVELS))]
+_PREFIX_OPS = frozenset(["++", "--", "&", "*", "+", "-", "!", "~"])
+_POSTFIX_OPS = frozenset(["(", "[", ".", "->", "++", "--"])
+_LITERAL_KINDS = frozenset([KIND_INT, KIND_STRING, KIND_WSTRING, KIND_CHAR])
 
-@dataclass
+
+@dataclass(slots=True)
 class DeclInfo:
     name: str
     base: str  # declared base type text, e.g. "char", "FILE"
@@ -56,7 +83,7 @@ class DeclInfo:
         return self.ptr_depth > 0 or self.is_array
 
 
-@dataclass
+@dataclass(slots=True)
 class AstNode:
     kind: str
     span: Span
@@ -88,29 +115,36 @@ class _ParseError(Exception):
 
 
 def _join_span(a: Span, b: Span) -> Span:
-    return Span(a.offset, a.line, a.col, max(b.end - a.offset, a.length))
+    return _new_span((a.offset, a.line, a.col, max(b.offset + b.length - a.offset, a.length)))
 
 
 _EMPTY_SPAN = Span(0, 1, 1, 0)
 
+# Follows the last token, so the cursor reads a token at every position up
+# to the end without a bounds check. It matches no lexeme or kind the
+# grammar asks for, and lookaheads stop at it.
+_END = Token("end-of-input", "", _EMPTY_SPAN)
+
 
 class Parser:
     def __init__(self, tokens: list[Token]):
-        self.toks = tokens
-        self.pos = 0
+        self.n = len(tokens)
+        self.toks = [*tokens, _END]
+        self.pos = 0  # at most n: the parser never steps past _END
         self.diags: list[Diagnostic] = []
         self.typenames: set[str] = set(BUILTIN_TYPENAMES)
         self.stmt_depth = 0
 
     # -- token helpers ------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        i = self.pos + ahead
-        return self.toks[i] if i < len(self.toks) else None
+    def peek(self, ahead: int = 0) -> Token:
+        return self.toks[self.pos + ahead]
 
     def at(self, lexeme: str) -> bool:
-        t = self.peek()
-        return t is not None and t.lexeme == lexeme
+        return self.toks[self.pos].lexeme == lexeme
+
+    def at_end(self) -> bool:
+        return self.pos == self.n
 
     def advance(self) -> Token:
         t = self.toks[self.pos]
@@ -118,33 +152,30 @@ class Parser:
         return t
 
     def expect(self, lexeme: str) -> Token:
-        if self.at(lexeme):
-            return self.advance()
+        t = self.toks[self.pos]
+        if t.lexeme == lexeme:
+            self.pos += 1
+            return t
         raise _ParseError(f"expected {lexeme!r}")
 
     def span_from(self, start: int) -> Span:
-        if start >= len(self.toks):
-            last = self.toks[-1].span if self.toks else _EMPTY_SPAN
-            return Span(last.end, last.line, last.col + last.length, 0)
+        if start >= self.n:
+            last = self.toks[self.n - 1].span if self.n else _EMPTY_SPAN
+            return _new_span((last.offset + last.length, last.line, last.col + last.length, 0))
         first = self.toks[start].span
-        end_idx = min(self.pos, len(self.toks)) - 1
-        if end_idx < start:
-            return Span(first.offset, first.line, first.col, 0)
-        return _join_span(first, self.toks[end_idx].span)
+        if self.pos <= start:
+            return _new_span((first.offset, first.line, first.col, 0))
+        return _join_span(first, self.toks[self.pos - 1].span)
 
     # -- type recognition ---------------------------------------------
 
-    def is_type_token(self, t: Token | None) -> bool:
-        if t is None:
-            return False
+    def is_type_token(self, t: Token) -> bool:
         if t.kind == KIND_KEYWORD:
             return t.lexeme in TYPE_KEYWORDS or t.lexeme in DECL_QUALIFIERS or t.lexeme in TAG_KEYWORDS
         return t.kind == KIND_IDENT and t.lexeme in self.typenames
 
     def starts_decl(self) -> bool:
         t = self.peek()
-        if t is None:
-            return False
         if self.is_type_token(t):
             return True
         # Heuristic: unknown identifier followed by '*'+ identifier.
@@ -154,7 +185,7 @@ class Parser:
 
     def parse_translation_unit(self) -> AstNode:
         children = []
-        while self.peek() is not None:
+        while not self.at_end():
             start = self.pos
             if self.at(";"):
                 self.advance()
@@ -168,8 +199,8 @@ class Parser:
             if self.pos == start:  # guarantee forward progress
                 self.advance()
         span = (
-            _join_span(self.toks[0].span, self.toks[-1].span)
-            if self.toks
+            _join_span(self.toks[0].span, self.toks[self.n - 1].span)
+            if self.n
             else _EMPTY_SPAN
         )
         return AstNode("TranslationUnit", span, children)
@@ -177,7 +208,7 @@ class Parser:
     def recover(self, start: int, message: str, top_level: bool = False) -> AstNode:
         """Skip to the next statement boundary, emitting a SkippedRegion."""
         toks = self.toks
-        n = len(toks)
+        n = self.n
         i = max(self.pos, start)
         depth = 0
         while i < n:
@@ -219,8 +250,6 @@ class Parser:
         consumed = 0
         while True:
             t = self.peek()
-            if t is None:
-                break
             if t.kind == KIND_KEYWORD and t.lexeme in DECL_QUALIFIERS:
                 self.advance()
                 consumed += 1
@@ -233,7 +262,7 @@ class Parser:
                 self.advance()
                 consumed += 1
                 tag = self.peek()
-                if tag is not None and tag.kind == KIND_IDENT:
+                if tag.kind == KIND_IDENT:
                     parts.append(self.advance().lexeme)
                 else:
                     parts.append(t.lexeme)
@@ -256,8 +285,6 @@ class Parser:
         saw_star = False
         while True:
             nxt = self.peek(i)
-            if nxt is None:
-                return False
             if nxt.lexeme == "*":
                 saw_star = True
                 i += 1
@@ -269,8 +296,7 @@ class Parser:
         while self.at("*") or self.at("const"):
             if self.advance().lexeme == "*":
                 ptr += 1
-        t = self.peek()
-        if t is None or t.kind != KIND_IDENT:
+        if self.peek().kind != KIND_IDENT:
             raise _ParseError("expected declarator name")
         name = self.advance().lexeme
         is_array = False
@@ -278,7 +304,7 @@ class Parser:
             is_array = True
             self.advance()
             depth = 1
-            while self.peek() is not None and depth > 0:
+            while not self.at_end() and depth > 0:
                 lx = self.advance().lexeme
                 if lx == "[":
                     depth += 1
@@ -297,7 +323,7 @@ class Parser:
         if self.at("{"):
             # struct/union/enum body: skip it opaquely.
             self.skip_balanced("{", "}")
-            while self.peek() is not None and not self.at(";"):
+            while not self.at_end() and not self.at(";"):
                 self.advance()
             if self.at(";"):
                 self.advance()
@@ -308,7 +334,7 @@ class Parser:
             init = None
             if self.at("="):
                 self.advance()
-                init = self.parse_assignment(0)
+                init = self.parse_expression(0, _ASSIGN)
                 info.has_init = True
             node = AstNode(
                 "Decl",
@@ -334,7 +360,7 @@ class Parser:
     def parse_typedef(self, start: int) -> AstNode:
         self.expect("typedef")
         last_ident = None
-        while self.peek() is not None and not self.at(";"):
+        while not self.at_end() and not self.at(";"):
             t = self.advance()
             if t.lexeme == "{":
                 self.skip_balanced_from_open()
@@ -352,7 +378,7 @@ class Parser:
 
     def skip_balanced_from_open(self, open_lx: str = "{", close_lx: str = "}"):
         toks = self.toks
-        n = len(toks)
+        n = self.n
         i = self.pos
         depth = 1
         while i < n and depth > 0:
@@ -369,7 +395,7 @@ class Parser:
     def parse_external(self) -> AstNode:
         start = self.pos
         t = self.peek()
-        if t is not None and t.lexeme in ("class", "template", "namespace", "using"):
+        if t.lexeme in ("class", "template", "namespace", "using"):
             raise _ParseError(f"unsupported C++ construct {t.lexeme!r}")
         if self.at("typedef"):
             return self.parse_typedef(start)
@@ -378,8 +404,7 @@ class Parser:
         while self.at("*"):
             self.advance()
             ptr += 1
-        t = self.peek()
-        if t is None or t.kind != KIND_IDENT:
+        if self.peek().kind != KIND_IDENT:
             if self.at("{"):  # struct body
                 self.skip_balanced("{", "}")
                 if self.at(";"):
@@ -417,7 +442,7 @@ class Parser:
             start = self.pos
             if self.at("..."):
                 self.advance()
-            elif self.at("void") and self.peek(1) is not None and self.peek(1).lexeme == ")":
+            elif self.at("void") and self.peek(1).lexeme == ")":
                 self.advance()
             else:
                 try:
@@ -434,7 +459,7 @@ class Parser:
                 except _ParseError:
                     # abstract or unparsable parameter: skip to , or )
                     depth = 0
-                    while self.peek() is not None:
+                    while not self.at_end():
                         lx = self.peek().lexeme
                         if lx == "(":
                             depth += 1
@@ -458,7 +483,8 @@ class Parser:
         start = self.pos
         self.expect("{")
         stmts = []
-        while self.peek() is not None and not self.at("}"):
+        toks = self.toks
+        while self.pos < self.n and toks[self.pos].lexeme != "}":
             before = self.pos
             stmts.append(self.parse_statement())
             if self.pos == before:
@@ -485,10 +511,9 @@ class Parser:
             self.stmt_depth -= 1
 
     def _parse_statement_inner(self, start: int) -> AstNode:
-        t = self.peek()
-        if t is None:
+        if self.at_end():
             raise _ParseError("unexpected end of input")
-        lx = t.lexeme
+        lx = self.peek().lexeme
         if lx == "{":
             return self.parse_block()
         if lx == ";":
@@ -515,7 +540,7 @@ class Parser:
             return AstNode("ExprStmt", self.span_from(start))
         if lx == "goto":
             self.advance()
-            while self.peek() is not None and not self.at(";"):
+            while not self.at_end() and not self.at(";"):
                 self.advance()
             if self.at(";"):
                 self.advance()
@@ -527,7 +552,7 @@ class Parser:
         if lx in ("case", "default"):
             # stray labels outside switch lowering: consume 'case X:' prefix
             self.advance()
-            while self.peek() is not None and not self.at(":"):
+            while not self.at_end() and not self.at(":"):
                 self.advance()
             if self.at(":"):
                 self.advance()
@@ -593,13 +618,16 @@ class Parser:
         return AstNode("For", self.span_from(start), [init, cond, step, body])
 
     def parse_switch(self, start: int) -> AstNode:
-        """Lower `switch` into an if/else-if chain over `==` comparisons."""
+        """Lower `switch` into an if/else-if chain over `==` comparisons,
+        inside one Block: as in C, the whole body is one scope. Each arm's
+        statements are an `Arm`, which opens no scope of its own, so a name
+        declared in one arm is in scope in the arms after it."""
         self.expect("switch")
         scrut = self.parse_paren_condition()
         self.expect("{")
         arms: list[tuple[AstNode | None, list[AstNode]]] = []
         current: list[AstNode] | None = None
-        while self.peek() is not None and not self.at("}"):
+        while not self.at_end() and not self.at("}"):
             if self.at("case"):
                 self.advance()
                 label = self.parse_expression(0)
@@ -628,7 +656,7 @@ class Parser:
         span = self.span_from(start)
         node: AstNode | None = None
         for label, stmts in reversed(arms):
-            body = AstNode("Block", span, stmts)
+            body = AstNode("Arm", span, stmts)
             if label is None:
                 node = body if node is None else AstNode(
                     "If",
@@ -639,104 +667,72 @@ class Parser:
                 cond = AstNode("Binary", span, [scrut, label], value="==")
                 children = [cond, body] + ([node] if node is not None else [])
                 node = AstNode("If", span, children)
-        if node is None:
-            node = AstNode("ExprStmt", span)
-        return node
+        return AstNode("Block", span, [node] if node is not None else [])
 
     # -- expressions --------------------------------------------------------
-
-    _PRECEDENCE = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
-    _ASSIGN_OPS = frozenset(
-        ["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="]
-    )
-
-    _POSTFIX_OPS = frozenset(["(", "[", ".", "->", "++", "--"])
+    #
+    # `depth` counts the frames an expression opens, so MAX_EXPR_DEPTH
+    # bounds the recursion here and the depth of the tree that later stages
+    # recurse over: one unit per prefix operator, cast and chained operator,
+    # four per parenthesis (expression, unary, postfix, primary).
 
     @staticmethod
     def _chain(depth: int) -> int:
-        """One more operator in a left-associative chain: a chain nests its
-        tree as deeply as recursion would, so it counts toward the limit."""
+        """One more operator in a chain: a chain nests its tree as deeply
+        as recursion would, so it counts toward the limit."""
         depth += 1
         if depth > MAX_EXPR_DEPTH:
             raise _ParseError("expression too deeply nested")
         return depth
 
-    def parse_expression(self, depth: int) -> AstNode:
+    def parse_expression(self, depth: int, min_level: int = _COMMA) -> AstNode:
+        """An expression of the binary operators at `min_level` or above:
+        `_COMMA` for a whole expression, `_ASSIGN` where a comma ends it."""
         if depth > MAX_EXPR_DEPTH:
             raise _ParseError("expression too deeply nested")
-        expr = self.parse_assignment(depth + 1)
-        while self.at(","):
-            depth = self._chain(depth)
-            self.advance()
-            rhs = self.parse_assignment(depth + 1)
-            expr = AstNode("Binary", _join_span(expr.span, rhs.span), [expr, rhs], value=",")
-        return expr
+        return self._fold(self.parse_unary(depth + 1), min_level, depth)
 
-    def parse_assignment(self, depth: int) -> AstNode:
-        if depth > MAX_EXPR_DEPTH:
-            raise _ParseError("expression too deeply nested")
-        lhs = self.parse_conditional(depth + 1)
-        t = self.peek()
-        if t is not None and t.lexeme in self._ASSIGN_OPS:
-            op = self.advance().lexeme
-            rhs = self.parse_assignment(depth + 1)
-            return AstNode("Binary", _join_span(lhs.span, rhs.span), [lhs, rhs], value=op)
-        return lhs
-
-    def parse_conditional(self, depth: int) -> AstNode:
-        cond = self.parse_binary(0, depth + 1)
-        if self.at("?"):
-            self.advance()
-            a = self.parse_assignment(depth + 1)
-            self.expect(":")
-            b = self.parse_conditional(depth + 1)
-            return AstNode("Binary", _join_span(cond.span, b.span), [cond, a, b], value="?:")
-        return cond
-
-    def parse_binary(self, level: int, depth: int) -> AstNode:
-        if depth > MAX_EXPR_DEPTH:
-            raise _ParseError("expression too deeply nested")
-        if level >= len(self._PRECEDENCE):
-            return self.parse_unary(depth + 1)
-        lhs = self.parse_binary(level + 1, depth + 1)
-        ops = self._PRECEDENCE[level]
+    def _fold(self, lhs: AstNode, min_level: int, depth: int) -> AstNode:
+        """Precedence climbing: fold onto `lhs`, left to right, each binary
+        operator at `min_level` or above. A right operand is one unary
+        expression, extended by recursion only when the operator after it
+        is at this operator's `_RHS_LEVEL` or above."""
+        toks = self.toks
         while True:
-            t = self.peek()
-            if t is None or t.lexeme not in ops:
+            op = toks[self.pos].lexeme
+            level = _LEVEL.get(op, -1)
+            if level < min_level:
                 return lhs
             depth = self._chain(depth)
-            op = self.advance().lexeme
-            rhs = self.parse_binary(level + 1, depth + 1)
-            lhs = AstNode("Binary", _join_span(lhs.span, rhs.span), [lhs, rhs], value=op)
+            self.pos += 1
+            if level == _COND:
+                mid = self.parse_expression(depth + 1, _ASSIGN)
+                self.expect(":")
+            rhs = self.parse_unary(depth + 1)
+            rhs_level = _RHS_LEVEL[level]
+            if _LEVEL.get(toks[self.pos].lexeme, -1) >= rhs_level:
+                # its first fold is a chained operator and takes its own unit
+                rhs = self._fold(rhs, rhs_level, depth)
+            span = _join_span(lhs.span, rhs.span)
+            if level == _COND:
+                lhs = AstNode("Binary", span, [lhs, mid, rhs], value="?:")
+            else:
+                lhs = AstNode("Binary", span, [lhs, rhs], value=op)
 
     def _looks_like_cast(self) -> int:
-        """If a cast starts at '(' here, return index past ')'; else 0."""
-        if not self.at("("):
-            return 0
+        """At a '(': if a cast starts here, return the index past ')'; else 0."""
         if not self.is_type_token(self.peek(1)):
             return 0
         i = 1
         while True:
             t = self.peek(i)
-            if t is None:
-                return 0
             if t.lexeme == ")":
                 nxt = self.peek(i + 1)
-                if nxt is None:
-                    return 0
-                if nxt.kind in (KIND_IDENT, KIND_INT, KIND_STRING, KIND_WSTRING, KIND_CHAR) or nxt.lexeme in ("(", "*", "&", "!", "~", "-", "+"):
+                if (
+                    nxt.kind == KIND_IDENT
+                    or nxt.kind in _LITERAL_KINDS
+                    or nxt.lexeme in ("(", "*", "&", "!", "~", "-", "+")
+                ):
                     return i + 1
                 return 0
             if t.lexeme == "*" or t.kind in (KIND_KEYWORD, KIND_IDENT):
@@ -744,107 +740,101 @@ class Parser:
                 continue
             return 0
 
-    _PREFIX_OPS = frozenset(["++", "--", "&", "*", "+", "-", "!", "~"])
-
     def parse_unary(self, depth: int) -> AstNode:
         if depth > MAX_EXPR_DEPTH:
             raise _ParseError("expression too deeply nested")
         start = self.pos
-        t = self.peek()
-        if t is None:
+        if start == self.n:
             raise _ParseError("expected expression")
-        if t.lexeme in self._PREFIX_OPS:
-            op = self.advance().lexeme
+        lx = self.toks[start].lexeme
+        if lx in _PREFIX_OPS:
+            self.pos += 1
             operand = self.parse_unary(depth + 1)
-            return AstNode("Unary", self.span_from(start), [operand], value=op)
-        if t.lexeme == "sizeof":
-            self.advance()
+            return AstNode("Unary", self.span_from(start), [operand], value=lx)
+        if lx == "sizeof":
+            self.pos += 1
             if self.at("("):
                 self.skip_balanced("(", ")")
                 return AstNode("Literal", self.span_from(start), value="sizeof", literal_kind=KIND_INT)
             operand = self.parse_unary(depth + 1)
             return AstNode("Unary", self.span_from(start), [operand], value="sizeof")
-        cast_end = self._looks_like_cast()
-        if cast_end:
-            self.advance()  # (
-            type_toks = []
-            while not self.at(")"):
-                type_toks.append(self.advance().lexeme)
-            self.advance()  # )
-            operand = self.parse_unary(depth + 1)
-            return AstNode(
-                "Cast", self.span_from(start), [operand], value=" ".join(type_toks)
-            )
+        if lx == "(":
+            cast_end = self._looks_like_cast()
+            if cast_end:
+                type_toks = self.toks[start + 1 : start + cast_end - 1]
+                self.pos = start + cast_end
+                operand = self.parse_unary(depth + 1)
+                return AstNode(
+                    "Cast", self.span_from(start), [operand], value=" ".join(t.lexeme for t in type_toks)
+                )
         return self.parse_postfix(depth + 1)
 
     def parse_postfix(self, depth: int) -> AstNode:
         start = self.pos
         expr = self.parse_primary(depth + 1)
+        toks = self.toks
         while True:
-            t = self.peek()
-            if t is None or t.lexeme not in self._POSTFIX_OPS:
+            lx = toks[self.pos].lexeme
+            if lx not in _POSTFIX_OPS:
                 return expr
             depth = self._chain(depth)
-            if t.lexeme == "(":
+            if lx == "(":
                 args = self.parse_call_args(depth + 1)
                 callee = expr.name if expr.kind == "Ident" else None
                 expr = AstNode(
                     "Call", self.span_from(start), [expr] + args, name=callee
                 )
-            elif t.lexeme == "[":
-                self.advance()
+            elif lx == "[":
+                self.pos += 1
                 idx = self.parse_expression(depth + 1)
                 self.expect("]")
                 expr = AstNode(
                     "Binary", self.span_from(start), [expr, idx], value="[]"
                 )
-            elif t.lexeme in (".", "->"):
-                op = self.advance().lexeme
-                m = self.peek()
-                if m is None or m.kind != KIND_IDENT:
+            elif lx == "." or lx == "->":
+                member = toks[self.pos + 1]
+                if member.kind != KIND_IDENT:
                     raise _ParseError("expected member name")
-                member = self.advance()
+                self.pos += 2
                 expr = AstNode(
                     "Binary",
                     self.span_from(start),
                     [expr, AstNode("Ident", member.span, name=member.lexeme)],
-                    value=op,
+                    value=lx,
                 )
             else:  # ++ or --
-                op = self.advance().lexeme
+                self.pos += 1
                 expr = AstNode(
-                    "Unary", self.span_from(start), [expr], value=op
+                    "Unary", self.span_from(start), [expr], value=lx
                 )
 
     def parse_call_args(self, depth: int) -> list[AstNode]:
         self.expect("(")
         args = []
         if self.at(")"):
-            self.advance()
+            self.pos += 1
             return args
         while True:
-            args.append(self.parse_assignment(depth + 1))
+            args.append(self.parse_expression(depth + 1, _ASSIGN))
             if self.at(","):
-                self.advance()
+                self.pos += 1
                 continue
             break
         self.expect(")")
         return args
 
     def parse_primary(self, depth: int) -> AstNode:
-        t = self.peek()
-        if t is None:
-            raise _ParseError("expected expression")
+        t = self.toks[self.pos]
         if t.kind == KIND_IDENT:
-            self.advance()
+            self.pos += 1
             if t.lexeme == "NULL":
                 return AstNode("Literal", t.span, value="NULL", literal_kind="null")
             return AstNode("Ident", t.span, name=t.lexeme)
-        if t.kind in (KIND_INT, KIND_STRING, KIND_WSTRING, KIND_CHAR):
-            self.advance()
+        if t.kind in _LITERAL_KINDS:
+            self.pos += 1
             return AstNode("Literal", t.span, value=t.lexeme, literal_kind=t.kind)
         if t.lexeme == "(":
-            self.advance()
+            self.pos += 1
             expr = self.parse_expression(depth + 1)
             self.expect(")")
             return expr

@@ -155,6 +155,15 @@ def test_switch_becomes_branch_chain():
     assert len(branches) == 2  # one comparison per non-default case
 
 
+def test_switch_arms_share_one_scope():
+    # The `a` of the first arm is the one the second arm assigns; the
+    # `return` after the switch reads the outer `a` again.
+    fg = cfg_of("int f(int x) { int a = 1; switch (x) { case 1: int a = 2; case 2: a = 3; } return a; }")
+    assert [s.target for s in all_stmts(fg) if isinstance(s, Assign)] == ["a", "a@2", "a@2"]
+    (ret,) = [s for s in all_stmts(fg) if isinstance(s, ReturnStmt)]
+    assert ret.expr.name == "a"
+
+
 def test_declared_types_in_symbols():
     fg = cfg_of(
         'int main(void) { FILE *f = fopen("file.txt", "w+"); int g = open(0); '

@@ -226,3 +226,16 @@ def test_multi_declarator_names_stay_in_scope_after_the_semicolon():
     src = b'int f(void){ char *a, *b; printf("%d", a); return b - a; }'
     found = {f.checker for f in analyze_source(src, "t.c", checker_ids=all_checker_ids()).findings}
     assert {"format-arg-type", "pointer-subtraction"} <= found
+
+
+def test_switch_body_is_one_scope():
+    # A name declared in one arm is in scope in the arms after it, as in C,
+    # and out of scope after the switch.
+    in_arm = b'int f(int x){ switch(x){ case 1: x = 2; char *a = 0; case 2: printf("%d", a); } return 0; }'
+    before = b'int f(int x){ char *a = 0; switch(x){ case 1: x = 2; case 2: printf("%d", a); } return 0; }'
+    after = b'int f(int x){ switch(x){ case 1: x = 2; char *a = 0; } printf("%d", a); return 0; }'
+    found = {
+        name: [(f.checker, f.line, f.col) for f in analyze_source(src, "t.c", all_checker_ids()).findings]
+        for name, src in [("in_arm", in_arm), ("before", before), ("after", after)]
+    }
+    assert found == {"in_arm": [("format-arg-type", 1, 75)], "before": [("format-arg-type", 1, 75)], "after": []}

@@ -166,8 +166,9 @@ def test_analyze_source_total_on_long_chains(name):
 
 def test_longest_chain_that_parses_is_analyzed_deep_in_the_stack():
     # The longest sum a `return` keeps, under 149 nested ifs, analyzed from
-    # 120 frames down: every recursive stage stays inside the stack.
-    source = ("int f(int a) { " + "if (a) " * 149 + "return " + _sum(137) + "; return 0; }").encode()
+    # 120 frames down: every recursive stage stays inside the stack. Its 149
+    # operators take one depth unit each, and its last operand the 150th.
+    source = ("int f(int a) { " + "if (a) " * 149 + "return " + _sum(150) + "; return 0; }").encode()
     assert not find_kind(parse_source(source).unit, "SkippedRegion")
     assert find_kind(parse_source(source.replace(b"a;", b"a + a;")).unit, "SkippedRegion")
 
@@ -175,6 +176,46 @@ def test_longest_chain_that_parses_is_analyzed_deep_in_the_stack():
         return nested(depth - 1) if depth else analyze_source(source, "x.c", all_checker_ids())
 
     assert nested(120).paths_explored == 150
+
+
+# The longest expression of each shape that a `return` keeps: one depth
+# unit per prefix operator, cast and chained operator, four per parenthesis
+# (expression, unary, postfix and primary frames) and five per call.
+DEPTH_BOUNDARIES = {
+    "sum": (lambda n: _sum(n + 1), 149),
+    "assign": (lambda n: " = ".join(["a"] * (n + 1)), 149),
+    "conditional": (lambda n: "a ? a : " * n + "a", 148),
+    "arrow": (lambda n: "p" + "->n" * n, 148),
+    "index": (lambda n: "p" + "[0]" * n, 146),
+    "prefix": (lambda n: "!" * n + "a", 149),
+    "cast": (lambda n: "(char *) " * n + "a", 149),
+    "paren": (lambda n: "(" * n + "a" + ")" * n, 37),
+    "call": (lambda n: "g(" * n + "a" + ")" * n, 29),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEPTH_BOUNDARIES))
+def test_expression_depth_boundary(shape):
+    make, longest = DEPTH_BOUNDARIES[shape]
+
+    def skipped(n):
+        unit = parse_source("int f(int a) { return " + make(n) + "; }").unit
+        return [region.value for region in find_kind(unit, "SkippedRegion")]
+
+    assert skipped(longest) == []
+    assert skipped(longest + 1) == ["expression too deeply nested"]
+
+
+def test_nested_parentheses_and_calls_parse():
+    # Each used to cost one depth unit per precedence level, so 9 levels
+    # of either were skipped without a trace.
+    res = parse_source("int f(int a) { return (((((((((a))))))))); }")
+    (ret,) = find_kind(res.unit, "Return")
+    assert [(n.kind, n.name) for n in ret.children] == [("Ident", "a")]
+    assert res.diagnostics == []
+    res = parse_source("int f(int a) { return " + "g(" * 20 + "a" + ")" * 20 + "; }")
+    assert len(find_kind(res.unit, "Call")) == 20
+    assert res.diagnostics == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -196,3 +237,170 @@ def test_multi_declarator_is_a_decl_list():
     (lst,) = find_kind(res.unit, "DeclList")
     assert [(d.kind, d.name) for d in lst.children] == [("Decl", "a"), ("Decl", "b")]
     assert find_kind(res.unit, "Block") == [functions(res.unit)[0].children[-1]]
+
+
+# -- precedence: random expression trees, printed with only the parentheses
+# their operators' precedence needs, parse back to the same tree.
+
+BINARY_LEVELS = [  # loosest first, as in C
+    [","],
+    ["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="],
+    ["?:"],
+    ["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="], ["<", ">", "<=", ">="],
+    ["<<", ">>"], ["+", "-"], ["*", "/", "%"],
+]
+LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
+UNARY, POSTFIX, PRIMARY = len(BINARY_LEVELS), len(BINARY_LEVELS) + 1, len(BINARY_LEVELS) + 2
+ASSIGN, COND = LEVEL["="], LEVEL["?:"]
+CAST_FOLLOWERS = ("(", "*", "&", "!", "~", "-", "+")  # after `)`, besides names and literals
+
+
+def expr_level(e):
+    tag = e[0]
+    if tag == "bin":
+        return LEVEL[e[1]]
+    if tag == "cond":
+        return COND
+    if tag in ("pre", "cast"):
+        return UNARY
+    if tag in ("post", "call", "index", "member"):
+        return POSTFIX
+    return PRIMARY
+
+
+def to_tokens(e, need=0):
+    """The tokens of `e`, in parentheses only if it binds looser than `need`."""
+    tag = e[0]
+    if tag in ("id", "lit"):
+        toks = [e[1]]
+    elif tag == "bin":
+        level = LEVEL[e[1]]
+        right = level == ASSIGN  # assignment groups to the right
+        toks = to_tokens(e[2], level + right) + [e[1]] + to_tokens(e[3], level + (not right))
+    elif tag == "cond":
+        toks = to_tokens(e[1], COND + 1) + ["?"] + to_tokens(e[2], ASSIGN) + [":"] + to_tokens(e[3], COND)
+    elif tag == "pre":
+        toks = [e[1]] + to_tokens(e[2], UNARY)
+    elif tag == "cast":
+        operand = to_tokens(e[2], UNARY)
+        if not (operand[0][0].isalnum() or operand[0] in CAST_FOLLOWERS):
+            operand = ["("] + operand + [")"]  # the parser tells a cast by what follows it
+        toks = ["(", *e[1].split(), ")"] + operand
+    elif tag == "post":
+        toks = to_tokens(e[2], POSTFIX) + [e[1]]
+    elif tag == "call":
+        args = []
+        for i, arg in enumerate(e[2]):
+            args += [","] * (i > 0) + to_tokens(arg, ASSIGN)
+        toks = to_tokens(e[1], POSTFIX) + ["("] + args + [")"]
+    elif tag == "index":
+        toks = to_tokens(e[1], POSTFIX) + ["["] + to_tokens(e[2]) + ["]"]
+    else:  # member
+        toks = to_tokens(e[2], POSTFIX) + [e[1], e[3]]
+    return ["("] + toks + [")"] if expr_level(e) < need else toks
+
+
+def expected_shape(e):
+    """(kind, name, value, children) of the node the parser should build."""
+    tag = e[0]
+    if tag == "id":
+        return ("Ident", e[1], None, ())
+    if tag == "lit":
+        return ("Literal", None, e[1], ())
+    if tag == "bin":
+        return ("Binary", None, e[1], (expected_shape(e[2]), expected_shape(e[3])))
+    if tag == "cond":
+        return ("Binary", None, "?:", tuple(map(expected_shape, e[1:])))
+    if tag in ("pre", "post"):
+        return ("Unary", None, e[1], (expected_shape(e[2]),))
+    if tag == "cast":
+        return ("Cast", None, e[1], (expected_shape(e[2]),))
+    if tag == "call":
+        callee = e[1][1] if e[1][0] == "id" else None
+        return ("Call", callee, None, tuple(map(expected_shape, [e[1], *e[2]])))
+    if tag == "index":
+        return ("Binary", None, "[]", (expected_shape(e[1]), expected_shape(e[2])))
+    return ("Binary", None, e[1], (expected_shape(e[2]), ("Ident", e[3], None, ())))
+
+
+def parsed_shape(node):
+    return (node.kind, node.name, node.value, tuple(map(parsed_shape, node.children)))
+
+
+LEAVES = st.one_of(
+    st.tuples(st.just("id"), st.sampled_from(["a", "b", "c", "p"])),
+    st.tuples(st.just("lit"), st.sampled_from(["0", "7", '"s"', "'c'"])),
+)
+# operators that wrap one expression: prefix, cast, postfix and member
+WRAPPERS = st.one_of(
+    st.tuples(st.just("pre"), st.sampled_from(["++", "--", "&", "*", "+", "-", "!", "~"])),
+    st.tuples(st.just("cast"), st.sampled_from(["int", "char *", "unsigned long"])),
+    st.tuples(st.just("post"), st.sampled_from(["++", "--"])),
+    st.tuples(st.just("member"), st.sampled_from([".", "->"]), st.sampled_from(["x", "y"])),
+)
+# a level first, then an operator of it, so that every level is common
+BINARY_OPS = st.sampled_from([ops for ops in BINARY_LEVELS if ops != ["?:"]]).flatmap(st.sampled_from)
+
+
+def _split(draw, leaves, parts):
+    """`leaves` cut into `parts` positive sizes."""
+    cuts = draw(st.lists(st.integers(1, leaves - 1), min_size=parts - 1, max_size=parts - 1, unique=True))
+    bounds = [0, *sorted(cuts), leaves]
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def expressions(draw, leaves):
+    """A random expression tree with exactly `leaves` names and literals."""
+    if leaves == 1:
+        expr = draw(LEAVES)
+    else:
+        tag = draw(st.sampled_from(["bin", "bin", "bin", "cond", "cond", "call", "index"]))
+        if tag == "cond" and leaves >= 3:
+            parts = [draw(expressions(n)) for n in _split(draw, leaves, 3)]
+            expr = ("cond", *parts)
+        elif tag == "call":
+            callee, *args = [draw(expressions(n)) for n in _split(draw, leaves, draw(st.integers(1, min(leaves, 4))))]
+            expr = ("call", callee, args)
+        elif tag == "index":
+            expr = ("index", *[draw(expressions(n)) for n in _split(draw, leaves, 2)])
+        else:
+            lhs, rhs = [draw(expressions(n)) for n in _split(draw, leaves, 2)]
+            expr = ("bin", draw(BINARY_OPS), lhs, rhs)
+    for _ in range(max(draw(st.integers(0, 5)) - 3, 0)):  # mostly none, at most two
+        wrapper = draw(WRAPPERS)
+        expr = (*wrapper, expr) if wrapper[0] != "member" else ("member", wrapper[1], expr, wrapper[2])
+    return expr
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16).flatmap(expressions))
+def test_precedence_round_trip(expr):
+    text = " ".join(to_tokens(expr))
+    res = parse_source("int f(void) { return " + text + "; }")
+    assert res.diagnostics == [], text
+    (ret,) = find_kind(res.unit, "Return")
+    assert [parsed_shape(c) for c in ret.children] == [expected_shape(expr)], text
+
+
+@pytest.mark.parametrize(
+    "text, shape",
+    [
+        ("a = b = c", ("=", "a", ("=", "b", "c"))),
+        ("a - b - c", ("-", ("-", "a", "b"), "c")),
+        ("a ? b : c ? p : a", ("?:", "a", "b", ("?:", "c", "p", "a"))),
+        ("a ? b : c = p", ("=", ("?:", "a", "b", "c"), "p")),
+        ("a = b ? c : p", ("=", "a", ("?:", "b", "c", "p"))),
+        ("a || b && c | p", ("||", "a", ("&&", "b", ("|", "c", "p")))),
+        ("a , b = c , p", (",", (",", "a", ("=", "b", "c")), "p")),
+        ("a * b + c << p < a == b & c ^ p", ("^", ("&", ("==", ("<", ("<<", ("+", ("*", "a", "b"), "c"), "p"), "a"), "b"), "c"), "p")),
+    ],
+)
+def test_precedence_examples(text, shape):
+    def plain(node):
+        if node.kind == "Ident":
+            return node.name
+        return (node.value, *map(plain, node.children))
+
+    (ret,) = find_kind(parse_source("int f(void) { return " + text + "; }").unit, "Return")
+    assert plain(ret.children[0]) == shape
