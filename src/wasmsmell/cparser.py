@@ -706,7 +706,7 @@ class Parser:
             depth = self._chain(depth)
             self.pos += 1
             if level == _COND:
-                mid = self.parse_expression(depth + 1, _ASSIGN)
+                mid = self.parse_expression(depth + 1, _COMMA)
                 self.expect(":")
             rhs = self.parse_unary(depth + 1)
             rhs_level = _RHS_LEVEL[level]
@@ -731,7 +731,7 @@ class Parser:
                 if (
                     nxt.kind == KIND_IDENT
                     or nxt.kind in _LITERAL_KINDS
-                    or nxt.lexeme in ("(", "*", "&", "!", "~", "-", "+")
+                    or nxt.lexeme in ("(", "*", "&", "!", "~", "-", "+", "++", "--", "sizeof")
                 ):
                     return i + 1
                 return 0

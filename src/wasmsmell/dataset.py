@@ -8,11 +8,13 @@ can be driven through configurable wrapper commands.
 
 Writers of one dataset are serialized by an `flock` on its directory,
 which the kernel releases however the holder exits. Each process caches
-the index it last read or wrote, with every entry's rendered text, and
-trusts that cache only while the SHA-256 of `index.json` still matches
-it, so a file rewritten by anyone else is parsed again. Adding a repo
-then re-renders only the entries whose origins changed; the on-disk
-format is the same as a full `canonical_json` render.
+the index it last read or wrote as three things beside the parsed index:
+the file's bytes, the hashes in file order, and each entry's length in
+bytes. It trusts that cache only while `index.json` still holds exactly
+those bytes, so a file rewritten by anyone else is parsed again. Adding
+a repo renders only the entries whose origins changed, and writes each
+over its old text, or inserts it at its place, in the cached bytes; a
+store that changes nothing writes nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import shutil
 import subprocess
 import sys
 import time
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +45,8 @@ INDEX_NAME = "index.json"
 
 
 class IntegrityError(RuntimeError):
-    """A stored file's bytes no longer match its hash name."""
+    """A stored file's bytes no longer match its hash name, or index.json
+    is not an index this module could have written."""
 
 
 @dataclass
@@ -50,8 +55,6 @@ class BinaryIndex:
     entries: dict[str, list[dict]] = field(default_factory=dict)
     wat_converted: int = 0
     wat_unconverted: list[dict] = field(default_factory=list)  # {"path", "stderr"}
-    # hashes whose origins add_origin changed since the last render
-    _dirty: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def add_origin(self, digest: str, repo: str, path: str) -> bool:
         """Record one origin of a stored blob; True if it was not known yet."""
@@ -61,7 +64,6 @@ class BinaryIndex:
             return False
         origins.append(origin)
         origins.sort(key=lambda o: (o["repo"], o["path"]))
-        self._dirty.add(digest)
         return True
 
     def record_wat(self, converted: set[str], unconverted: list[dict]):
@@ -94,49 +96,113 @@ class BinaryIndex:
         ]
         return doc
 
-    def render(self, pieces: dict[str, bytes]) -> bytes:
-        """`canonical_json(self.to_dict())`, reusing unchanged entries' text.
-
-        `pieces` maps a hash to its entry's text from an earlier render of
-        this index. Entries with no piece, or changed by add_origin since,
-        are rendered again and stored back into `pieces`.
-        """
-        for digest in self._dirty:
-            pieces.pop(digest, None)
-        self._dirty.clear()
-        shell = canonical_json(self._without_entries())
-        if not self.entries:
-            return shell
-        missing = sorted(self.entries.keys() - pieces.keys())
-        if missing:
-            # One canonical_json call renders them all as a top-level list;
-            # shifted one level deeper (indent=2) they are the index's list
-            # items, and ",\n" before a line of exactly "    {" only ever
-            # separates two items.
-            text = canonical_json([{"hash": h, "origins": self.entries[h]} for h in missing])
-            first, *rest = (b"  " + text[2:-3].replace(b"\n", b"\n  ")).split(b",\n    {\n")
-            rendered = [first] + [b"    {\n" + piece for piece in rest]
-            pieces.update(zip(missing, rendered, strict=True))
-        body = b",\n".join(map(pieces.__getitem__, sorted(self.entries)))
-        head, tail = shell.split(b'"entries": []', 1)
-        return b"".join((head, b'"entries": [\n', body, b"\n  ]", tail))
-
     @classmethod
-    def from_dict(cls, d: dict) -> "BinaryIndex":
+    def from_dict(cls, d) -> "BinaryIndex":
+        """The index of a parsed index.json; IntegrityError unless every
+        entry is {"hash": str, "origins": [{"path": str, "repo": str}, ...]}."""
+        if not isinstance(d, dict):
+            raise IntegrityError("the index is not a JSON object")
+        entries = d.get("entries", [])
+        if not isinstance(entries, list):
+            raise IntegrityError('"entries" is not a list')
         idx = cls()
-        for entry in d.get("entries", []):
+        for entry in entries:
+            if not _is_entry(entry):
+                raise IntegrityError(f"malformed entry {entry!r:.80}")
             idx.entries[entry["hash"]] = list(entry["origins"])
         wat = d.get("wat", {})
-        idx.wat_converted = wat.get("converted", 0)
-        idx.wat_unconverted = list(wat.get("unconverted", []))
+        converted = wat.get("converted", 0) if isinstance(wat, dict) else None
+        unconverted = wat.get("unconverted", []) if isinstance(wat, dict) else None
+        if type(converted) is not int or not (
+            isinstance(unconverted, list)
+            and all(isinstance(u, dict) and isinstance(u.get("path"), str) for u in unconverted)
+        ):
+            raise IntegrityError(f'malformed "wat" section {wat!r:.80}')
+        idx.wat_converted = converted
+        idx.wat_unconverted = list(unconverted)
         return idx
+
+
+def _is_entry(entry) -> bool:
+    if type(entry) is not dict or len(entry) != 2 or type(entry.get("hash")) is not str:
+        return False
+    origins = entry.get("origins")
+    if type(origins) is not list:
+        return False
+    for o in origins:
+        if type(o) is not dict or len(o) != 2:
+            return False
+        if type(o.get("path")) is not str or type(o.get("repo")) is not str:
+            return False
+    return True
+
+
+# How canonical_json lays out index.json: with any entries, the file starts
+# with _HEAD, and its entries' texts follow in hash order, _SEP between two.
+_HEAD = b'{\n  "entries": [\n'
+_SEP = b",\n"
+_quote = json.encoder.encode_basestring  # json.dumps' quoting with ensure_ascii=False
+_ENTRY = '    {\n      "hash": %s,\n      "origins": [\n%s\n      ]\n    }'
+_NO_ORIGINS = '    {\n      "hash": %s,\n      "origins": []\n    }'
+_ORIGIN = '        {\n          "path": %s,\n          "repo": %s\n        }'
+
+
+def _entry_text(digest: str, origins: list[dict]) -> bytes:
+    """One entry's text in index.json, as canonical_json renders it there."""
+    if not origins:
+        return (_NO_ORIGINS % _quote(digest)).encode()
+    body = ",\n".join([_ORIGIN % (_quote(o["path"]), _quote(o["repo"])) for o in origins])
+    return (_ENTRY % (_quote(digest), body)).encode()
 
 
 @dataclass
 class _CachedIndex:
-    digest: bytes | None  # SHA-256 of index.json's bytes; None while it is absent
     index: BinaryIndex  # never handed out: callers get copies
-    pieces: dict[str, bytes]  # BinaryIndex.render's per-entry text
+    # index.json's bytes as last read or written (None while it is absent);
+    # after the first render, a bytearray that each render edits in place.
+    data: bytes | bytearray | None = None
+    # The hashes whose entry text `data` holds, in file order, and each
+    # text's length in bytes. Empty until the first render.
+    order: list[str] = field(default_factory=list)
+    lengths: array = field(default_factory=lambda: array("L"))
+
+    def render(self, dirty) -> bytearray:
+        """Make `data` `canonical_json(self.index.to_dict())` and return it.
+
+        While the layout is empty every entry is rendered. Otherwise only
+        the entries of the hashes in `dirty` are, and each is written over
+        its old text or inserted at its place in `data`.
+        """
+        index, order, lengths = self.index, self.order, self.lengths
+        shell = canonical_json(index._without_entries())
+        tail = b"\n  ]" + shell.split(b'"entries": []', 1)[1]
+        if not order:
+            order = sorted(index.entries)
+            texts = [_entry_text(h, index.entries[h]) for h in order]
+            chunks = [_SEP] * (2 * len(texts) + 1)
+            chunks[1::2] = texts
+            chunks[0], chunks[-1] = _HEAD, tail
+            self.data = bytearray().join(chunks) if texts else bytearray(shell)
+            self.order, self.lengths = order, array("L", map(len, texts))
+            return self.data
+        data = self.data
+        del data[len(_HEAD) + sum(lengths) + len(_SEP) * (len(order) - 1) :]
+        data += tail
+        for digest in dirty:
+            i = bisect_left(order, digest)
+            text = _entry_text(digest, index.entries[digest])
+            pos = len(_HEAD) + sum(lengths[:i]) + len(_SEP) * i
+            if i < len(order) and order[i] == digest:
+                data[pos : pos + lengths[i]] = text
+                lengths[i] = len(text)
+                continue
+            if i < len(order):
+                data[pos:pos] = text + _SEP
+            else:  # after the last entry, which no separator follows
+                data[pos - len(_SEP) : pos - len(_SEP)] = _SEP + text
+            order.insert(i, digest)
+            lengths.insert(i, len(text))
+        return data
 
 
 # At most one dataset's index per process, keyed by index.json's path.
@@ -148,19 +214,49 @@ def _index_path(dest) -> Path:
 
 
 def _read_index(path: Path) -> _CachedIndex:
-    """The index in `path`, from the cache while the file's digest matches."""
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        data = None
-    digest = None if data is None else hashlib.sha256(data).digest()
+    """The index in `path`, from the cache while the file holds exactly the cached bytes."""
     cached = _CACHE.get(path)
-    if cached is None or cached.digest != digest:
-        index = BinaryIndex() if data is None else BinaryIndex.from_dict(json.loads(data))
-        cached = _CachedIndex(digest, index, {})
-        _CACHE.clear()
+    if cached is None or not _file_holds(path, cached.data):
+        _CACHE.clear()  # before parsing: never two indexes alive at once
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            data = None
+        cached = _CachedIndex(_parse_index(path, data), data)
         _CACHE[path] = cached
     return cached
+
+
+def _file_holds(path: Path, data: bytes | bytearray | None) -> bool:
+    """Whether `path` holds exactly `data` (None: there is no file).
+
+    It compares a chunk at a time: a second whole copy of the index per
+    store would leave the process's heap, and so its peak RSS, larger.
+    """
+    if data is None:
+        return not path.exists()
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return False
+    with fh:
+        pos = 0
+        while chunk := fh.read(1 << 16):
+            if chunk != data[pos : pos + len(chunk)]:
+                return False
+            pos += len(chunk)
+        return pos == len(data)
+
+
+def _parse_index(path: Path, data: bytes | None) -> BinaryIndex:
+    if data is None:
+        return BinaryIndex()
+    try:
+        return BinaryIndex.from_dict(json.loads(data))
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise IntegrityError(f"{path}: not a valid index: {err}") from None
+    except IntegrityError as err:
+        raise IntegrityError(f"{path}: {err}") from None
 
 
 def _write_index(path: Path, data: bytes):
@@ -178,7 +274,7 @@ def load_index(dest: Path) -> BinaryIndex:
 
 def save_index(dest: Path, index: BinaryIndex):
     with _DatasetLock(dest):
-        _write_index(_index_path(dest), index.render({}))
+        _write_index(_index_path(dest), _CachedIndex(index).render(()))
 
 
 class _DatasetLock:
@@ -248,43 +344,57 @@ def store_dedup(files, dest, repo_id: str, root=None, wat: WatConversion | None 
     each produced module under the path of its .wat, counted as converted
     only when that origin is new. Returns a copy of the updated index.
     """
-    return store_dedup_rendered(files, dest, repo_id, root, wat)[0]
+    dest = Path(dest)
+    dest.mkdir(parents=True, exist_ok=True)
+    with _DatasetLock(dest):
+        return _store(files, dest, repo_id, root, wat).index.copy()
 
 
 def store_dedup_rendered(
     files, dest, repo_id: str, root=None, wat: WatConversion | None = None
 ) -> tuple[BinaryIndex, bytes]:
-    """store_dedup, also returning the bytes it wrote to index.json."""
+    """store_dedup, also returning the bytes index.json holds after it."""
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
+    with _DatasetLock(dest):
+        cached = _store(files, dest, repo_id, root, wat)
+        return cached.index.copy(), bytes(cached.data)
+
+
+def _store(files, dest: Path, repo_id: str, root, wat: WatConversion | None) -> _CachedIndex:
+    """store_dedup's work, under the dataset lock; returns the updated cache."""
     path = _index_path(dest)
 
     def origin(file) -> str:
         file = Path(file)
         return file.relative_to(root).as_posix() if root is not None else file.as_posix()
 
-    with _DatasetLock(dest):
-        cached = _read_index(path)
-        index = cached.index
-        try:
-            for file in files:
-                index.add_origin(_store_blob(dest, Path(file)), repo_id, origin(file))
-            if wat is not None:
-                for source, output in wat.converted:
-                    if index.add_origin(_store_blob(dest, output), repo_id, origin(source)):
-                        index.wat_converted += 1
-                index.record_wat(
-                    {origin(source) for source, _ in wat.converted},
-                    [dict(u, path=origin(u["path"])) for u in wat.unconverted],
-                )
-            data = index.render(cached.pieces)
-            _write_index(path, data)
-        except BaseException:
-            # The cached index may hold changes that never reached the file.
-            _CACHE.pop(path, None)
-            raise
-        cached.digest = hashlib.sha256(data).digest()
-        return index.copy(), data
+    cached = _read_index(path)
+    index = cached.index
+    wat_before = (index.wat_converted, index.wat_unconverted)  # record_wat replaces the list
+    dirty = set()
+    try:
+        for file in files:
+            digest = _store_blob(dest, Path(file))
+            if index.add_origin(digest, repo_id, origin(file)):
+                dirty.add(digest)
+        if wat is not None:
+            for source, output in wat.converted:
+                digest = _store_blob(dest, output)
+                if index.add_origin(digest, repo_id, origin(source)):
+                    dirty.add(digest)
+                    index.wat_converted += 1
+            index.record_wat(
+                {origin(source) for source, _ in wat.converted},
+                [dict(u, path=origin(u["path"])) for u in wat.unconverted],
+            )
+        if dirty or cached.data is None or wat_before != (index.wat_converted, index.wat_unconverted):
+            _write_index(path, cached.render(dirty))
+    except BaseException:
+        # The cached index may hold changes that never reached the file.
+        _CACHE.pop(path, None)
+        raise
+    return cached
 
 
 def _store_blob(dest: Path, file: Path) -> str:

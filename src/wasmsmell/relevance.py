@@ -88,21 +88,27 @@ def pagerank(
     n = len(nodes)
     if n == 0:
         return {}
+    position = {v: i for i, v in enumerate(nodes)}
     degree = {v: sum(graph.adj[v].values()) for v in nodes}
-    scores = {v: 1.0 / n for v in nodes}
+    # Each node's in-links as (source position, share of the source's weight);
+    # a neighbour's degree is at least the weight of this edge, so never 0.
+    inbound = [
+        [(position[u], w / degree[u]) for u, w in graph.adj[v].items()] for v in nodes
+    ]
+    scores = [1.0 / n] * n
     teleport = (1.0 - damping) / n
     for _ in range(max_iter):
-        new = {}
-        for v in nodes:
+        new = []
+        for links in inbound:
             rank = teleport
-            for u, w in graph.adj[v].items():
-                if degree[u] > 0:
-                    rank += damping * scores[u] * (w / degree[u])
-            new[v] = rank
-        residual = sum(abs(new[v] - scores[v]) for v in nodes)
+            for u, share in links:
+                rank += damping * scores[u] * share
+            new.append(rank)
+        residual = sum(abs(a - b) for a, b in zip(new, scores))
         scores = new
         if residual < eps:
             break
+    scores = dict(zip(nodes, scores))
     total = sum(scores.values())
     if total > 0:
         scores = {v: s / total for v, s in scores.items()}

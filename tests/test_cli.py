@@ -2,11 +2,12 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 
 import pytest
 
 from conftest import FIXTURES, SMELLS
-from wasmsmell import analysis
+from wasmsmell import analysis, dataset
 from wasmsmell.checkers import all_checker_ids
 from wasmsmell.cli import main
 
@@ -253,6 +254,56 @@ def test_collect_leaves_only_stored_blobs_and_index(tmp_path, capsys, monkeypatc
     (dest / stored).write_bytes(b"tampered")
     assert run_cli(capsys, *argv)[0] == 3
     assert list(scratch.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "index",
+    [
+        b'{"entries": [',  # not JSON
+        b"\xff\xfe{}",  # not UTF-8
+        b"[]",
+        b'{"entries": {}}',
+        b'{"entries": [{"hash": "ab"}]}',  # no origins
+        b'{"entries": [{"hash": 7, "origins": []}]}',
+        b'{"entries": [{"hash": "ab", "origins": [{"repo": "r"}]}]}',
+        b'{"entries": [{"hash": "ab", "origins": [{"repo": "r", "path": 1}]}]}',
+        b'{"entries": [{"hash": "ab", "origins": [{"repo": "r", "path": "p", "x": 0}]}]}',
+        b'{"entries": [], "wat": {"converted": "1"}}',
+    ],
+)
+def test_collect_broken_index_is_an_integrity_error(index, tmp_path, capsys):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "a.wasm").write_bytes(b"\0asm1")
+    dest = tmp_path / "ds"
+    dest.mkdir()
+    (dest / "index.json").write_bytes(index)
+    code, out, err = run_cli(capsys, "collect", str(tree), "--dest", str(dest))
+    assert code == 3
+    assert out == ""
+    assert str(dest / "index.json") in err
+    assert "Traceback" not in err
+    assert (dest / "index.json").read_bytes() == index
+
+
+def test_recollect_leaves_index_file_untouched(tmp_path, capsys):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "a.wasm").write_bytes(b"\0asm1")
+    (tree / "b.wasm").write_bytes(b"\0asm2")
+    dest = tmp_path / "ds"
+    argv = ("collect", str(tree), "--dest", str(dest))
+    assert run_cli(capsys, *argv)[0] == 0
+    before = (dest / "index.json").stat()
+    time.sleep(0.01)  # a rewrite would now get a later mtime
+    for fresh_process in (False, True):
+        if fresh_process:
+            dataset._CACHE.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        after = (dest / "index.json").stat()
+        assert code == 0
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert out.encode() == (dest / "index.json").read_bytes()
 
 
 def test_collect_missing_root(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import signal
 import stat
 import subprocess
@@ -10,9 +11,11 @@ import time
 
 import pytest
 
+from wasmsmell import dataset
 from wasmsmell.dataset import (
     BinaryIndex,
     IntegrityError,
+    WatConversion,
     _DatasetLock,
     convert_wat,
     load_index,
@@ -162,6 +165,82 @@ def test_index_bytes_canonical_after_every_store(tmp_path):
     origins = index.entries[hashlib.sha256(b"pre-5").hexdigest()]
     assert [o["repo"] for o in origins] == ["repo-5", "répo-b", "z"]
     assert len(index.entries) == 302
+
+
+ODD_NAMES = ["plain", "ñew-α", 'quo"te', "back\\slash", "tab\there", "ü ber", "日本", "ctl\x01"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spliced_index_equals_full_render_over_random_stores(tmp_path, seed):
+    rng = random.Random(seed)
+    dest = tmp_path / "dataset"
+    src = tmp_path / "src"
+    path = (dest / "index.json").absolute()
+    payload = {hashlib.sha256(b).hexdigest(): b for b in (b"blob-%d-%d" % (seed, i) for i in range(300))}
+    known = sorted(payload)[100:200:2]  # hashes in order; room before, between and after
+    unknown = [h for h in sorted(payload) if h not in known]
+    preload = [blob(tmp_path, f"pre/{i}.wasm", payload[h]) for i, h in enumerate(known)]
+    store_dedup(preload, dest, "preload", root=src)
+    seen = {"first": 0, "between": 0, "last": 0, "origin": 0, "several": 0, "wat": 0, "none": 0}
+
+    def pick(kind):
+        lo, hi = min(known), max(known)
+        pool = {
+            "first": [h for h in unknown if h < lo],
+            "last": [h for h in unknown if h > hi],
+            "between": [h for h in unknown if lo < h < hi],
+            "origin": known,
+        }[kind]
+        return rng.choice(pool) if pool else known[0]
+
+    for step in range(120):
+        kind = rng.choice(list(seen))
+        name = rng.choice(ODD_NAMES)
+        repo = f"{rng.choice(ODD_NAMES)}-{rng.randrange(3)}"
+        before = path.read_bytes()
+        if kind == "none":  # an origin the index already has
+            chosen = []
+            index = store_dedup([rng.choice(preload)], dest, "preload", root=src)
+            assert path.read_bytes() == before
+        elif kind == "wat":
+            out = tmp_path / "out" / f"{step}.wasm"
+            out.parent.mkdir(exist_ok=True)
+            chosen = [pick(rng.choice(["between", "origin"]))]
+            out.write_bytes(payload[chosen[0]])
+            converted = [(src / name / f"{step}.wat", out)] if rng.random() < 0.7 else []
+            unconverted = [{"path": str(src / f"{rng.choice(ODD_NAMES)}.wat"), "stderr": f"bad {step}\t\\"}]
+            wat = WatConversion(converted, unconverted[: rng.randrange(2)])
+            index = store_dedup([], dest, repo, root=src, wat=wat)
+            chosen = chosen[: len(converted)]
+        else:
+            count = rng.randint(2, 5) if kind == "several" else 1
+            chosen = [pick(rng.choice(["first", "between", "last", "origin"]) if kind == "several" else kind)
+                      for _ in range(count)]
+            files = [blob(tmp_path, f"{name}/{step}-{k}.wasm", payload[h]) for k, h in enumerate(chosen)]
+            index = store_dedup(files, dest, repo, root=src)
+        for h in chosen:
+            if h in unknown:
+                unknown.remove(h)
+                known.append(h)
+        known.sort()
+        seen[kind] += 1
+
+        data = path.read_bytes()
+        assert data == canonical_json(index.to_dict()), (step, kind)
+        assert data == canonical_json(BinaryIndex.from_dict(json.loads(data)).to_dict())
+        cached = dataset._CACHE[path]
+        assert cached.data == data
+        assert cached.order == sorted(index.entries)  # the next store edits this layout
+        assert sum(cached.lengths) + 2 * (len(cached.order) - 1) < len(data)
+    assert min(seen.values()) > 0
+    assert len(index.entries) == len(known)
+
+
+def test_save_index_renders_entries_without_origins(tmp_path):
+    index = BinaryIndex({"aa": [], "bb": [{"path": "p", "repo": "r"}]})
+    save_index(tmp_path, index)
+    assert (tmp_path / "index.json").read_bytes() == canonical_json(index.to_dict())
+    assert load_index(tmp_path).to_dict() == index.to_dict()
 
 
 def test_index_rewritten_behind_cache_is_reread(tmp_path):

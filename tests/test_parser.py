@@ -252,7 +252,7 @@ BINARY_LEVELS = [  # loosest first, as in C
 LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
 UNARY, POSTFIX, PRIMARY = len(BINARY_LEVELS), len(BINARY_LEVELS) + 1, len(BINARY_LEVELS) + 2
 ASSIGN, COND = LEVEL["="], LEVEL["?:"]
-CAST_FOLLOWERS = ("(", "*", "&", "!", "~", "-", "+")  # after `)`, besides names and literals
+CAST_FOLLOWERS = ("(", "*", "&", "!", "~", "-", "+", "++", "--")  # after `)`, besides names and literals
 
 
 def expr_level(e):
@@ -278,7 +278,7 @@ def to_tokens(e, need=0):
         right = level == ASSIGN  # assignment groups to the right
         toks = to_tokens(e[2], level + right) + [e[1]] + to_tokens(e[3], level + (not right))
     elif tag == "cond":
-        toks = to_tokens(e[1], COND + 1) + ["?"] + to_tokens(e[2], ASSIGN) + [":"] + to_tokens(e[3], COND)
+        toks = to_tokens(e[1], COND + 1) + ["?"] + to_tokens(e[2]) + [":"] + to_tokens(e[3], COND)
     elif tag == "pre":
         toks = [e[1]] + to_tokens(e[2], UNARY)
     elif tag == "cast":
@@ -394,13 +394,35 @@ def test_precedence_round_trip(expr):
         ("a || b && c | p", ("||", "a", ("&&", "b", ("|", "c", "p")))),
         ("a , b = c , p", (",", (",", "a", ("=", "b", "c")), "p")),
         ("a * b + c << p < a == b & c ^ p", ("^", ("&", ("==", ("<", ("<<", ("+", ("*", "a", "b"), "c"), "p"), "a"), "b"), "c"), "p")),
+        ("a ? a , 1 : 0", ("?:", "a", (",", "a", "1"), "0")),
+        ("a ? b = c , p : a , b", (",", ("?:", "a", (",", ("=", "b", "c"), "p"), "a"), "b")),
     ],
 )
 def test_precedence_examples(text, shape):
     def plain(node):
         if node.kind == "Ident":
             return node.name
+        if node.kind == "Literal":
+            return node.value
         return (node.value, *map(plain, node.children))
 
-    (ret,) = find_kind(parse_source("int f(void) { return " + text + "; }").unit, "Return")
+    res = parse_source("int f(void) { return " + text + "; }")
+    assert res.diagnostics == [], text
+    (ret,) = find_kind(res.unit, "Return")
     assert plain(ret.children[0]) == shape
+
+
+@pytest.mark.parametrize(
+    "text, cast, operand",
+    [
+        ("(int) ++a", "int", ("Unary", None, "++", (("Ident", "a", None, ()),))),
+        ("(int) --a", "int", ("Unary", None, "--", (("Ident", "a", None, ()),))),
+        ("(long) sizeof a", "long", ("Unary", None, "sizeof", (("Ident", "a", None, ()),))),
+        ("(unsigned long) sizeof(int)", "unsigned long", ("Literal", None, "sizeof", ())),
+    ],
+)
+def test_cast_before_increment_or_sizeof(text, cast, operand):
+    res = parse_source("int f(int a) { return " + text + "; }")
+    assert res.diagnostics == [] and find_kind(res.unit, "SkippedRegion") == [], text
+    (ret,) = find_kind(res.unit, "Return")
+    assert [parsed_shape(c) for c in ret.children] == [("Cast", None, cast, (operand,))]

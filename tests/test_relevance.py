@@ -1,9 +1,13 @@
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wasmsmell.relevance import (
+    LemmaGraph,
     build_graph,
     extract_candidates,
     is_relevant,
@@ -32,6 +36,70 @@ def numpy_pagerank(nodes, adj, damping=0.85, eps=1e-6, max_iter=100):
             break
         scores = new
     return scores / scores.sum()
+
+
+def dict_loop_pagerank(graph, damping=0.85, eps=1e-6, max_iter=100):
+    """The power iteration as it once was: dicts keyed by word, and each
+    edge's share of its source's degree computed inside the loop."""
+    nodes = graph.nodes
+    n = len(nodes)
+    if n == 0:
+        return {}
+    degree = {v: sum(graph.adj[v].values()) for v in nodes}
+    scores = {v: 1.0 / n for v in nodes}
+    teleport = (1.0 - damping) / n
+    for _ in range(max_iter):
+        new = {}
+        for v in nodes:
+            rank = teleport
+            for u, w in graph.adj[v].items():
+                if degree[u] > 0:
+                    rank += damping * scores[u] * (w / degree[u])
+            new[v] = rank
+        residual = sum(abs(new[v] - scores[v]) for v in nodes)
+        scores = new
+        if residual < eps:
+            break
+    total = sum(scores.values())
+    if total > 0:
+        scores = {v: s / total for v, s in scores.items()}
+    return scores
+
+
+README_TEXTS = [
+    (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"),
+    "This library compiles C code to wasm modules. The wasm output runs in"
+    " browsers and servers. Use wasm for portable sandboxed execution.",
+    "A sorting library for integers and floats. Includes quicksort, mergesort,"
+    " heapsort and insertion sort with extensive benchmarks across compilers.",
+    "Web assembly tooling: this project targets web assembly runtimes and"
+    " provides web assembly loaders plus assembly helpers for the web.",
+    " ".join(f"topic{i} detail{i} notes{i}" for i in range(60)) + " wasm",
+]
+
+
+@pytest.mark.parametrize("text", README_TEXTS)
+@pytest.mark.parametrize("window", [2, 3, 5])
+def test_pagerank_bit_identical_to_dict_loop_on_readmes(text, window):
+    graph = build_graph(extract_candidates(text), window)
+    assert pagerank(graph) == dict_loop_pagerank(graph)
+    assert pagerank(graph, damping=0.5, eps=1e-12) == dict_loop_pagerank(graph, 0.5, 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pagerank_bit_identical_to_dict_loop_on_random_graphs(seed):
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(rng.randint(1, 60))]
+    graph = LemmaGraph(nodes=list(words), adj={w: {} for w in words})
+    for _ in range(rng.randint(0, 4 * len(words))):
+        a, b = rng.sample(words, 2) if len(words) > 1 else (words[0], words[0])
+        if a != b:
+            w = rng.choice([1.0, 2.0, 0.5, rng.random() + 0.01])
+            graph.adj[a][b] = graph.adj[a].get(b, 0.0) + w
+            graph.adj[b][a] = graph.adj[b].get(a, 0.0) + w
+    damping = rng.uniform(0.05, 0.95)
+    max_iter = rng.choice([1, 5, 100])
+    assert pagerank(graph, damping, 1e-9, max_iter) == dict_loop_pagerank(graph, damping, 1e-9, max_iter)
 
 
 def test_single_node_rank_is_exactly_one():
