@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -11,7 +10,7 @@ from .cfg import build_cfg
 from .checkers import check_structural, default_checker_ids, make_flow_checkers
 from .cparser import parse_source
 from .engine import Budget, analyze_function
-from .report import BudgetSummary, Finding, ProjectReport, merge_findings
+from .report import BudgetSummary, Finding, ProjectReport, merge_findings, report_path
 
 SOURCE_EXTENSIONS = (".c", ".h", ".cc", ".cpp", ".cxx", ".hpp", ".hh")
 
@@ -66,44 +65,37 @@ def analyze_project(
     root: Path,
     checker_ids=None,
     budget: Budget | None = None,
-    jobs: int = 1,
     project: str | None = None,
 ) -> ProjectReport:
-    """Analyze every C/C++ source file under root into one merged report."""
+    """Analyze every C/C++ source file under root, one at a time in sorted
+    path order, into one merged report. A file that cannot be read or
+    analyzed is warned about on stderr and counted as skipped."""
     root = Path(root)
-    files = collect_source_files(root)
     base = root if root.is_dir() else root.parent
-
-    def run_one(path: Path) -> FileResult | None:
-        rel = path.relative_to(base).as_posix()
+    results = []
+    skipped = 0
+    for path in collect_source_files(root):
         try:
             data = path.read_bytes()
         except OSError as err:
             print(f"warning: cannot read {path}: {err}", file=sys.stderr)
-            return None
+            skipped += 1
+            continue
+        rel = report_path(path.relative_to(base).as_posix())
         try:
-            return analyze_source(data, rel, checker_ids, budget)
+            results.append(analyze_source(data, rel, checker_ids, budget))
         except Exception as err:  # one crashing file must not end the run
             print(f"warning: cannot analyze {path}: {type(err).__name__}: {err}", file=sys.stderr)
-            return None
-
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, files))
-    else:
-        results = [run_one(p) for p in files]
-
-    file_results = [r for r in results if r is not None]
-    skipped = len(results) - len(file_results)
+            skipped += 1
 
     report = merge_findings(
-        [r.findings for r in file_results], project=project or base.name
+        [r.findings for r in results], project=report_path(project or base.name)
     )
-    report.files_analyzed = len(file_results)
+    report.files_analyzed = len(results)
     report.files_skipped = skipped
     report.budget = BudgetSummary(
-        paths_explored=sum(r.paths_explored for r in file_results),
-        functions_exhausted=sum(r.exhausted_functions for r in file_results),
-        skipped_sites=sum(r.skipped_sites for r in file_results),
+        paths_explored=sum(r.paths_explored for r in results),
+        functions_exhausted=sum(r.exhausted_functions for r in results),
+        skipped_sites=sum(r.skipped_sites for r in results),
     )
     return report

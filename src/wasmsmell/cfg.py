@@ -75,11 +75,12 @@ class Assign:
 
 @dataclass
 class CallStmt:
-    callee: str | None
+    callee: str | None  # None when the callee is not a plain name
     args: list[AstNode]
     target: str | None
     span: Span
     target_decl: DeclInfo | None = None
+    callee_expr: AstNode | None = None  # that callee, lowered, such as `t->cb`
 
 
 @dataclass
@@ -172,9 +173,9 @@ class _Lowerer:
         if kind == "Literal":
             return node
         if kind == "Call":
-            args = self.lower_call(node)
+            callee_expr, args = self.lower_call(node)
             tmp = self.fresh_temp()
-            self.emit(CallStmt(node.name, args, tmp, node.span))
+            self.emit(CallStmt(node.name, args, tmp, node.span, callee_expr=callee_expr))
             return AstNode("Ident", node.span, name=tmp)
         if kind == "Unary" and node.value in ("++", "--"):
             operand = self.lower_expr(node.children[0])
@@ -209,13 +210,12 @@ class _Lowerer:
             return node
         return AstNode(kind, node.span, children, name=node.name, value=node.value, literal_kind=node.literal_kind)
 
-    def lower_call(self, call: AstNode) -> list[AstNode]:
-        """Hoist the calls in a callee expression such as `pick(x)(y)`,
-        then lower and return the arguments."""
+    def lower_call(self, call: AstNode) -> tuple[AstNode | None, list[AstNode]]:
+        """Lower a callee that is not a plain name, such as `t->cb` or
+        `pick(x)`, then the arguments; calls in either are hoisted first."""
         callee = call.children[0]
-        if callee.kind != "Ident":
-            self.lower_expr(callee)
-        return [self.lower_expr(a) for a in call.children[1:]]
+        callee_expr = None if callee.kind == "Ident" else self.lower_expr(callee)
+        return callee_expr, [self.lower_expr(a) for a in call.children[1:]]
 
     def lower_assign_rhs(self, lhs: AstNode, op: str, rhs: AstNode, span: Span) -> AstNode:
         if lhs.kind == "Ident":
@@ -238,9 +238,9 @@ class _Lowerer:
         while core.kind == "Cast":
             core = core.children[0]
         if core.kind == "Call":
-            args = self.lower_call(core)
+            callee_expr, args = self.lower_call(core)
             self.emit(
-                CallStmt(core.name, args, target, span, target_decl=self.symbols.get(target))
+                CallStmt(core.name, args, target, span, self.symbols.get(target), callee_expr)
             )
         else:
             expr = self.lower_expr(rhs)

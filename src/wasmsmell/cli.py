@@ -23,7 +23,7 @@ from .checkers import (
     validate_checker_ids,
 )
 from .engine import Budget
-from .report import ProjectReport, ReportError, canonical_json, compute_corpus_stats, render
+from .report import ProjectReport, ReportError, canonical_json, compute_corpus_stats, render, report_path
 from .wasmdetect import classify_repo
 
 EXIT_OK = 0
@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checker ids to disable")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--jobs", type=int, default=1, help="parallel file analyses")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="ignored: files are analyzed one at a time")
     p.add_argument("--max-paths", type=int, default=4096,
                    help="path budget per function (default 4096)")
     p.add_argument("--unroll", type=int, default=2,
@@ -123,8 +124,7 @@ def cmd_analyze(args) -> int:
         print("error: --max-paths must be >= 1 and --unroll >= 0", file=sys.stderr)
         return EXIT_USAGE
     report = analyze_project(
-        root, checker_ids=enabled, budget=budget, jobs=max(args.jobs, 1),
-        project=args.project,
+        root, checker_ids=enabled, budget=budget, project=args.project
     )
     _write_output(render(report, args.format), args.out)
     return EXIT_FINDINGS if report.findings else EXIT_OK
@@ -162,7 +162,7 @@ def cmd_collect(args) -> int:
     if not root.is_dir():
         print(f"error: not a directory: {root}", file=sys.stderr)
         return EXIT_USAGE
-    repo_id = args.repo_id or root.name
+    repo_id = report_path(args.repo_id or root.name)
     dest = Path(args.dest)
     found = ds.scan_binaries(root)
     wasm_files = [p for p, kind in found if kind == "wasm"]

@@ -33,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .report import SCHEMA_VERSION, canonical_json
+from .report import SCHEMA_VERSION, canonical_json, report_path
 
 DEFAULT_WAT2WASM = "wat2wasm --enable-all {in} -o {out}"
 DEFAULT_CMAKE_WRAPPER = "emcmake cmake ."
@@ -367,7 +367,7 @@ def _store(files, dest: Path, repo_id: str, root, wat: WatConversion | None) -> 
 
     def origin(file) -> str:
         file = Path(file)
-        return file.relative_to(root).as_posix() if root is not None else file.as_posix()
+        return report_path((file.relative_to(root) if root is not None else file).as_posix())
 
     cached = _read_index(path)
     index = cached.index

@@ -187,8 +187,9 @@ def live_in(fg: FlowGraph) -> dict[int, set[str]]:
     before they are written.
 
     Every ``Ident`` in an ``Assign``'s expression, a ``CallStmt``'s
-    arguments or a terminator's expression is a read, also one under ``&``
-    or in a node ``eval_expr`` does not enter, so the sets over-approximate.
+    callee expression or arguments, or a terminator's expression is a
+    read, also one under ``&`` or in a node ``eval_expr`` does not enter,
+    so the sets over-approximate.
     An ``Assign``'s target and a ``CallStmt``'s target are writes. Back
     edges are followed to a fixpoint.
     """
@@ -210,6 +211,8 @@ def live_in(fg: FlowGraph) -> dict[int, set[str]]:
             if isinstance(stmt, CallStmt):
                 for arg in stmt.args:
                     _add_reads(arg, live)
+                if stmt.callee_expr is not None:
+                    _add_reads(stmt.callee_expr, live)
             elif stmt.expr is not None:
                 _add_reads(stmt.expr, live)
         gen[blk.id] = live
@@ -416,6 +419,8 @@ class Engine:
 
     def _transfer_call(self, state: PathState, stmt: CallStmt):
         callee = stmt.callee or "<indirect>"
+        if stmt.callee_expr is not None:
+            self.eval_expr(state, stmt.callee_expr)
         arg_syms = [self.eval_expr(state, a) for a in stmt.args]
         for c in self._pre_call:
             c.pre_call(self, state, callee, arg_syms, stmt.args, stmt.span)

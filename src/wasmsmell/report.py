@@ -2,15 +2,22 @@
 
 All machine output is canonical JSON: sorted keys, UTF-8, LF line
 endings, trailing newline. Rendering the same document twice is
-byte-identical, which is what makes parallel analysis deterministic.
+byte-identical. File names become report text through `report_path`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
+
+
+def report_path(path: str | os.PathLike) -> str:
+    """A file name as report text: its bytes decoded as UTF-8, with each
+    byte that is not UTF-8 written as a `\\xNN` escape."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
 @dataclass
@@ -74,7 +81,6 @@ class ProjectReport:
     findings: list[Finding] = field(default_factory=list)
     stats: dict[str, int] = field(default_factory=dict)
     budget: BudgetSummary = field(default_factory=BudgetSummary)
-    wasm_target: dict | None = None
     schema_version: int = SCHEMA_VERSION
 
     def recompute_stats(self):
@@ -84,7 +90,7 @@ class ProjectReport:
         self.stats = stats
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "schema_version": self.schema_version,
             "project": self.project,
             "files_analyzed": self.files_analyzed,
@@ -93,9 +99,6 @@ class ProjectReport:
             "stats": dict(sorted(self.stats.items())),
             "budget": self.budget.to_dict(),
         }
-        if self.wasm_target is not None:
-            d["wasm_target"] = self.wasm_target
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProjectReport":
@@ -115,7 +118,6 @@ class ProjectReport:
                 b.get("functions_exhausted", 0),
                 b.get("skipped_sites", 0),
             ),
-            wasm_target=d.get("wasm_target"),
         )
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .analysis import SOURCE_EXTENSIONS
 from .preprocess import preprocess_lite
+from .report import report_path
 
 BUILD_SCRIPT_PATTERNS = ("makefile*", "cmakelists.txt", "*.mk", "*.sh", "*.cmake")
 JS_EXTENSIONS = (".js", ".mjs", ".ts", ".html")
@@ -109,7 +110,7 @@ def classify_repo(root) -> RepoEvidence:
         text = _read_text(path)
         if text is None:
             continue
-        rel = path.relative_to(root).as_posix()
+        rel = report_path(path.relative_to(root).as_posix())
         if build:
             evidence.h1_build_scripts += _line_hits(rel, text, _H1_RE)
         if source:

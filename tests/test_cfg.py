@@ -60,6 +60,15 @@ def test_double_free_inside_a_callee_expression_is_found():
     assert [(f.checker, f.line, f.col) for f in res.findings] == [("double-free", 1, 31)]
 
 
+def test_a_read_in_a_callee_expression_is_seen():
+    fg = cfg_of("int f(struct s *t) { int x = t->cb(1); return x; }")
+    call = [s for s in all_stmts(fg) if isinstance(s, CallStmt)][0]
+    assert (call.callee, call.target) == (None, "x")
+    assert call.callee_expr.value == "->" and call.callee_expr.children[0].name == "t"
+    res = analyze_source(b"int f(void){ struct s *t; t->cb(1); return 0; }", "x.c")
+    assert [(f.checker, f.line, f.col) for f in res.findings] == [("uninitialized-variable", 1, 27)]
+
+
 def test_call_result_through_cast_keeps_target():
     fg = cfg_of("int f(void) { char *p = (char *)malloc(8); return 0; }")
     call = [s for s in all_stmts(fg) if isinstance(s, CallStmt)][0]
@@ -188,7 +197,8 @@ def test_lowering_emits_only_what_the_engine_reads():
     sources += [p.read_bytes() for p in sorted(FIXTURES.rglob("*.c"))]
     sources.append(
         b"int f(int a, int *p) { do { a--; } while (a); p[g(a)] += h(a); "
-        b"while (k(a) && !k(a + 1)) a = (int)m(a), n(a); return r(s(a)) + 1; }"
+        b"while (k(a) && !k(a + 1)) a = (int)m(a), n(a); pick(g(a))(a); t[h(a)](a); "
+        b"return r(s(a)) + 1; }"
     )
     functions = 0
     for source in sources:
@@ -201,6 +211,7 @@ def test_lowering_emits_only_what_the_engine_reads():
                 assert blk.terminator is None or isinstance(blk.terminator, (CondBranch, ReturnStmt))
                 exprs = [s.expr for s in blk.stmts if isinstance(s, Assign)]
                 exprs += [a for s in blk.stmts if isinstance(s, CallStmt) for a in s.args]
+                exprs += [s.callee_expr for s in blk.stmts if isinstance(s, CallStmt)]
                 exprs.append(getattr(blk.terminator, "expr", None))
                 assert not any(n.kind == "Call" for e in exprs if e is not None for n in e.walk())
     assert functions > 20

@@ -1,8 +1,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -386,3 +390,83 @@ def test_analyze_crashing_file_is_skipped_not_fatal(tmp_path, capsys, monkeypatc
     assert doc["files_analyzed"] == 1
     assert doc["files_skipped"] == 1
     assert "deep.c" in err and "RecursionError" in err
+
+
+def test_jobs_parses_every_file_on_the_calling_thread_in_path_order(tmp_path, capsys, monkeypatch):
+    real_parse = analysis.parse_source
+    seen = []
+
+    def parse(source):
+        seen.append((threading.get_ident(), source))
+        return real_parse(source)
+
+    monkeypatch.setattr(analysis, "parse_source", parse)
+    proj = tmp_path / "proj"
+    (proj / "sub").mkdir(parents=True)
+    names = ["b.c", "a.c", "sub/c.c", "a.h", "z.cc", "m.c"]
+    for i, name in enumerate(names):
+        (proj / name).write_bytes(b"int f%d(void) { return 0; }\n" % i)
+    run_cli(capsys, "analyze", str(proj), "--jobs", "8")
+    assert seen == [
+        (threading.get_ident(), (proj / name).read_bytes()) for name in sorted(names)
+    ]
+
+
+def test_importing_the_cli_starts_no_executor():
+    code = "import sys, wasmsmell.cli; print('concurrent.futures' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
+def non_utf8_dir(parent: Path, name: bytes) -> Path:
+    """Make a directory whose name is not UTF-8, or skip where the file system refuses it."""
+    path = parent / os.fsdecode(name)
+    try:
+        path.mkdir()
+    except (OSError, UnicodeEncodeError) as err:
+        pytest.skip(f"file system refuses the name {name!r}: {err}")
+    return path
+
+
+def test_analyze_reports_a_non_utf8_file_name_escaped(tmp_path, capsys):
+    proj = non_utf8_dir(tmp_path, b"p\xff")
+    (proj / os.fsdecode(b"\xff.c")).write_bytes(SMELLY)
+    (proj / "\u00e9.c").write_bytes(SMELLY)
+    code, out, _ = run_cli(capsys, "analyze", str(proj))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["project"] == "p\\xff"
+    assert [f["file"] for f in doc["findings"]] == ["\\xff.c", "\u00e9.c"]
+    code, out, _ = run_cli(capsys, "analyze", str(proj), "--format", "text")
+    assert code == 1
+    assert out.startswith("\\xff.c:2:")
+
+
+def test_collect_records_a_non_utf8_file_name_escaped(tmp_path, capsys):
+    tree = non_utf8_dir(tmp_path, b"t\xff")
+    (tree / os.fsdecode(b"\xff.wasm")).write_bytes(b"\0asm1")
+    (tree / "\u00e9.wasm").write_bytes(b"\0asm1")
+    dest = tmp_path / "ds"
+    code, out, _ = run_cli(capsys, "collect", str(tree), "--dest", str(dest))
+    assert code == 0
+    assert out.encode() == (dest / "index.json").read_bytes()
+    [entry] = json.loads(out)["entries"]
+    assert entry["origins"] == [
+        {"repo": "t\\xff", "path": "\\xff.wasm"},
+        {"repo": "t\\xff", "path": "\u00e9.wasm"},
+    ]
+    assert sorted(p.name for p in dest.iterdir()) == sorted(["index.json", entry["hash"] + ".wasm"])
+
+
+def test_detect_wasm_reports_a_non_utf8_file_name_escaped(tmp_path, capsys):
+    repo = non_utf8_dir(tmp_path, b"r\xff")
+    (repo / os.fsdecode(b"\xff.c")).write_bytes(b"#include <emscripten.h>\n")
+    code, out, _ = run_cli(capsys, "detect-wasm", str(repo))
+    assert code == 0
+    hits = json.loads(out)["wasm_target"]["h2_headers"]
+    assert hits == [{"file": "\\xff.c", "line": 1, "text": "emscripten.h"}]

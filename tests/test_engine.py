@@ -352,7 +352,8 @@ def test_call_bodied_if_chain_merges_at_every_join(monkeypatch):
 
 
 def random_function(rng: random.Random) -> str:
-    """A small function of if/else, loops, calls, free/malloc and block locals."""
+    """A small function of if/else, loops, calls (some through a callee
+    expression), free/malloc and block locals."""
     budget = [6]  # branching statements left
 
     def cond():
@@ -362,7 +363,7 @@ def random_function(rng: random.Random) -> str:
         return rng.choice(["a", "b", "n", "d"])
 
     def stmt(depth):
-        kinds = ["call", "free", "malloc", "assign", "local", "alias", "address"]
+        kinds = ["call", "free", "malloc", "assign", "local", "alias", "address", "indirect"]
         if depth < 3 and budget[0] > 0:
             kinds += ["if", "ifelse", "loop", "block"] * 3
         kind = rng.choice(kinds)
@@ -381,6 +382,8 @@ def random_function(rng: random.Random) -> str:
             return f"int t = use({var()}); use(t);"
         if kind == "address":
             return f"use(&{var()});"
+        if kind == "indirect":
+            return f"ops[{var()}]({var()});"
         if kind == "alias":
             return f"char *r = {ptr}; {ptr} = r + {rng.randint(0, 1)};"
         if kind == "if":
@@ -395,7 +398,8 @@ def random_function(rng: random.Random) -> str:
         return " ".join(stmt(depth) for _ in range(rng.randint(1, 3)))
 
     top = " ".join(stmt(0) for _ in range(rng.randint(2, 4)))
-    return f"int f(int a, int b, int n, char *p) {{ char *q = p; int d; {top} use(d); return a; }}"
+    last = rng.choice(["use(d);", "ops[d](0);"])  # d read last in an argument or a callee
+    return f"int f(int a, int b, int n, char *p) {{ char *q = p; int d; {top} {last} return a; }}"
 
 
 class _AllNames:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -10,6 +11,7 @@ from wasmsmell.report import (
     compute_corpus_stats,
     merge_findings,
     render,
+    report_path,
 )
 
 
@@ -112,3 +114,9 @@ def test_stats_text_columns_present():
     text = render(compute_corpus_stats([p]), "text").decode()
     assert "Occurences" in text
     assert "Repositories Affected" in text
+
+
+def test_report_path_escapes_only_bytes_that_are_not_utf8():
+    assert report_path("sub/\u00e9.c") == "sub/\u00e9.c"
+    assert report_path(os.fsdecode(b"sub/\xff\xc3.c")) == "sub/\\xff\\xc3.c"
+    assert report_path(b"\xe2\x82\xac\xff") == "\u20ac\\xff"
