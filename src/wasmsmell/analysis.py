@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -10,7 +9,7 @@ from .cfg import build_cfg
 from .checkers import check_structural, default_checker_ids, make_flow_checkers
 from .cparser import parse_source
 from .engine import Budget, analyze_function
-from .report import BudgetSummary, Finding, ProjectReport, merge_findings, report_path
+from .report import BudgetSummary, Finding, ProjectReport, merge_findings, report_path, warn
 
 SOURCE_EXTENSIONS = (".c", ".h", ".cc", ".cpp", ".cxx", ".hpp", ".hh")
 
@@ -78,14 +77,14 @@ def analyze_project(
         try:
             data = path.read_bytes()
         except OSError as err:
-            print(f"warning: cannot read {path}: {err}", file=sys.stderr)
+            warn(f"cannot read {path}: {err}")
             skipped += 1
             continue
         rel = report_path(path.relative_to(base).as_posix())
         try:
             results.append(analyze_source(data, rel, checker_ids, budget))
         except Exception as err:  # one crashing file must not end the run
-            print(f"warning: cannot analyze {path}: {type(err).__name__}: {err}", file=sys.stderr)
+            warn(f"cannot analyze {path}: {type(err).__name__}: {err}")
             skipped += 1
 
     report = merge_findings(

@@ -211,10 +211,14 @@ class _Lowerer:
         return AstNode(kind, node.span, children, name=node.name, value=node.value, literal_kind=node.literal_kind)
 
     def lower_call(self, call: AstNode) -> tuple[AstNode | None, list[AstNode]]:
-        """Lower a callee that is not a plain name, such as `t->cb` or
-        `pick(x)`, then the arguments; calls in either are hoisted first."""
+        """Lower a callee that is not a function's name, such as `t->cb`,
+        `pick(x)` or a local `fp`, then the arguments; calls in either are
+        hoisted first."""
         callee = call.children[0]
-        callee_expr = None if callee.kind == "Ident" else self.lower_expr(callee)
+        if callee.kind == "Ident" and self.scopes.resolve(callee.name) is None:
+            callee_expr = None
+        else:
+            callee_expr = self.lower_expr(callee)
         return callee_expr, [self.lower_expr(a) for a in call.children[1:]]
 
     def lower_assign_rhs(self, lhs: AstNode, op: str, rhs: AstNode, span: Span) -> AstNode:

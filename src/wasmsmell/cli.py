@@ -175,7 +175,7 @@ def cmd_collect(args) -> int:
             if wat_files:
                 converter = None if args.no_convert else args.wat2wasm
                 conversion = ds.convert_wat(wat_files, work, converter)
-            _, data = ds.store_dedup_rendered(wasm_files, dest, repo_id, root=root, wat=conversion)
+            data = ds.store_dedup_rendered(wasm_files, dest, repo_id, root=root, wat=conversion)
     except ds.IntegrityError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INTEGRITY

@@ -292,25 +292,41 @@ class Parser:
             return saw_star and nxt.kind == KIND_IDENT
 
     def parse_declarator(self, base: str, is_param: bool = False) -> DeclInfo:
+        """A name with its stars and bounds. In a parenthesized declarator
+        such as `(*fp)(int)` or `(*tab[4])`, the stars and bounds inside
+        the parentheses make the type, and a parameter list or bounds
+        after them are skipped."""
+        ptr = self._stars()
+        nested = self.at("(")
+        if nested:
+            self.advance()
+            ptr = self._stars()
+        if self.peek().kind != KIND_IDENT:
+            raise _ParseError("expected declarator name")
+        name = self.advance().lexeme
+        is_array = self._skip_bounds()
+        if nested:
+            self.expect(")")
+            if self.at("("):
+                self.skip_balanced("(", ")")
+            self._skip_bounds()
+        return DeclInfo(name, base, ptr, is_array, is_param=is_param)
+
+    def _stars(self) -> int:
         ptr = 0
         while self.at("*") or self.at("const"):
             if self.advance().lexeme == "*":
                 ptr += 1
-        if self.peek().kind != KIND_IDENT:
-            raise _ParseError("expected declarator name")
-        name = self.advance().lexeme
-        is_array = False
+        return ptr
+
+    def _skip_bounds(self) -> bool:
+        """Skip any `[...]` groups; whether there were some."""
+        found = False
         while self.at("["):
-            is_array = True
+            found = True
             self.advance()
-            depth = 1
-            while not self.at_end() and depth > 0:
-                lx = self.advance().lexeme
-                if lx == "[":
-                    depth += 1
-                elif lx == "]":
-                    depth -= 1
-        return DeclInfo(name, base, ptr, is_array, is_param=is_param)
+            self.skip_balanced_from_open("[", "]")
+        return found
 
     def parse_decl_statement(self) -> AstNode:
         start = self.pos
@@ -404,6 +420,9 @@ class Parser:
         while self.at("*"):
             self.advance()
             ptr += 1
+        if self.at("("):  # a parenthesized declarator, such as `(*fp)(int)`
+            self.pos = start
+            return self.parse_decl_statement()
         if self.peek().kind != KIND_IDENT:
             if self.at("{"):  # struct body
                 self.skip_balanced("{", "}")

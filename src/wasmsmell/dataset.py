@@ -6,6 +6,11 @@ it, and always holds `canonical_json(index.to_dict())`. Text-format
 modules can be converted through an external tool, and project builds
 can be driven through configurable wrapper commands.
 
+Each entry's origins are an immutable tuple, replaced whole when an
+origin is added. So the index a store or load hands out is a shallow
+copy: a new dict and list around the cache's own tuples and origin
+dicts, with no work per entry.
+
 Writers of one dataset are serialized by an `flock` on its directory,
 which the kernel releases however the holder exits. Each process caches
 the index it last read or wrote as three things beside the parsed index:
@@ -26,14 +31,13 @@ import os
 import shlex
 import shutil
 import subprocess
-import sys
 import time
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .report import SCHEMA_VERSION, canonical_json, report_path
+from .report import SCHEMA_VERSION, canonical_json, report_path, warn
 
 DEFAULT_WAT2WASM = "wat2wasm --enable-all {in} -o {out}"
 DEFAULT_CMAKE_WRAPPER = "emcmake cmake ."
@@ -51,19 +55,21 @@ class IntegrityError(RuntimeError):
 
 @dataclass
 class BinaryIndex:
-    # hash -> sorted list of {"repo": ..., "path": ...}
-    entries: dict[str, list[dict]] = field(default_factory=dict)
+    """The dataset's index. `entries` maps each hash to a tuple of its
+    origins, each {"repo": ..., "path": ...}, sorted by repo then path;
+    `to_dict` writes them as lists, as index.json holds them."""
+
+    entries: dict[str, tuple[dict, ...]] = field(default_factory=dict)
     wat_converted: int = 0
     wat_unconverted: list[dict] = field(default_factory=list)  # {"path", "stderr"}
 
     def add_origin(self, digest: str, repo: str, path: str) -> bool:
         """Record one origin of a stored blob; True if it was not known yet."""
-        origins = self.entries.setdefault(digest, [])
+        origins = self.entries.get(digest, ())
         origin = {"repo": repo, "path": path}
         if origin in origins:
             return False
-        origins.append(origin)
-        origins.sort(key=lambda o: (o["repo"], o["path"]))
+        self.entries[digest] = tuple(sorted((*origins, origin), key=lambda o: (o["repo"], o["path"])))
         return True
 
     def record_wat(self, converted: set[str], unconverted: list[dict]):
@@ -72,12 +78,9 @@ class BinaryIndex:
         self.wat_unconverted = [u for path, u in by_path.items() if path not in converted]
 
     def copy(self) -> "BinaryIndex":
-        """A copy whose lists the caller may change; origin dicts are shared."""
-        return BinaryIndex(
-            {h: list(origins) for h, origins in self.entries.items()},
-            self.wat_converted,
-            list(self.wat_unconverted),
-        )
+        """A shallow copy whose dict and list the caller may change; the
+        origin tuples and the dicts in them are shared."""
+        return BinaryIndex(dict(self.entries), self.wat_converted, list(self.wat_unconverted))
 
     def _without_entries(self) -> dict:
         return {
@@ -92,7 +95,7 @@ class BinaryIndex:
     def to_dict(self) -> dict:
         doc = self._without_entries()
         doc["entries"] = [
-            {"hash": h, "origins": self.entries[h]} for h in sorted(self.entries)
+            {"hash": h, "origins": list(self.entries[h])} for h in sorted(self.entries)
         ]
         return doc
 
@@ -109,7 +112,7 @@ class BinaryIndex:
         for entry in entries:
             if not _is_entry(entry):
                 raise IntegrityError(f"malformed entry {entry!r:.80}")
-            idx.entries[entry["hash"]] = list(entry["origins"])
+            idx.entries[entry["hash"]] = tuple(entry["origins"])
         wat = d.get("wat", {})
         converted = wat.get("converted", 0) if isinstance(wat, dict) else None
         unconverted = wat.get("unconverted", []) if isinstance(wat, dict) else None
@@ -147,7 +150,7 @@ _NO_ORIGINS = '    {\n      "hash": %s,\n      "origins": []\n    }'
 _ORIGIN = '        {\n          "path": %s,\n          "repo": %s\n        }'
 
 
-def _entry_text(digest: str, origins: list[dict]) -> bytes:
+def _entry_text(digest: str, origins: tuple[dict, ...]) -> bytes:
     """One entry's text in index.json, as canonical_json renders it there."""
     if not origins:
         return (_NO_ORIGINS % _quote(digest)).encode()
@@ -157,7 +160,7 @@ def _entry_text(digest: str, origins: list[dict]) -> bytes:
 
 @dataclass
 class _CachedIndex:
-    index: BinaryIndex  # never handed out: callers get copies
+    index: BinaryIndex  # never handed out: callers get shallow copies
     # index.json's bytes as last read or written (None while it is absent);
     # after the first render, a bytearray that each render edits in place.
     data: bytes | bytearray | None = None
@@ -318,7 +321,7 @@ def scan_binaries(root) -> list[tuple[Path, str]]:
             if not path.is_file():
                 continue
         except OSError as err:
-            print(f"warning: cannot stat {path}: {err}", file=sys.stderr)
+            warn(f"cannot stat {path}: {err}")
             continue
         suffix = path.suffix.lower()
         if suffix == ".wasm":
@@ -342,7 +345,7 @@ def store_dedup(files, dest, repo_id: str, root=None, wat: WatConversion | None 
     Origin paths are relative to `root` when it is given. `wat`, the
     outcome of convert_wat for this repo, is stored under the same lock:
     each produced module under the path of its .wat, counted as converted
-    only when that origin is new. Returns a copy of the updated index.
+    only when that origin is new. Returns a shallow copy of the updated index.
     """
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
@@ -350,15 +353,12 @@ def store_dedup(files, dest, repo_id: str, root=None, wat: WatConversion | None 
         return _store(files, dest, repo_id, root, wat).index.copy()
 
 
-def store_dedup_rendered(
-    files, dest, repo_id: str, root=None, wat: WatConversion | None = None
-) -> tuple[BinaryIndex, bytes]:
-    """store_dedup, also returning the bytes index.json holds after it."""
+def store_dedup_rendered(files, dest, repo_id: str, root=None, wat: WatConversion | None = None) -> bytes:
+    """store_dedup, returning the bytes index.json holds after it instead."""
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
     with _DatasetLock(dest):
-        cached = _store(files, dest, repo_id, root, wat)
-        return cached.index.copy(), bytes(cached.data)
+        return bytes(_store(files, dest, repo_id, root, wat).data)
 
 
 def _store(files, dest: Path, repo_id: str, root, wat: WatConversion | None) -> _CachedIndex:

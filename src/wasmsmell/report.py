@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -18,6 +19,11 @@ def report_path(path: str | os.PathLike) -> str:
     """A file name as report text: its bytes decoded as UTF-8, with each
     byte that is not UTF-8 written as a `\\xNN` escape."""
     return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
+def warn(message: str):
+    """Tell the user on stderr about something the run skipped."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 @dataclass

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import fnmatch
 import re
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import SOURCE_EXTENSIONS
 from .preprocess import preprocess_lite
-from .report import report_path
+from .report import report_path, warn
 
 BUILD_SCRIPT_PATTERNS = ("makefile*", "cmakelists.txt", "*.mk", "*.sh", "*.cmake")
 JS_EXTENSIONS = (".js", ".mjs", ".ts", ".html")
@@ -67,7 +66,7 @@ def _read_text(path: Path) -> str | None:
             return None
         data = path.read_bytes()
     except OSError as err:
-        print(f"warning: cannot read {path}: {err}", file=sys.stderr)
+        warn(f"cannot read {path}: {err}")
         return None
     if b"\0" in data[:BINARY_SNIFF_BYTES]:
         return None

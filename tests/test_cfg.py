@@ -69,6 +69,16 @@ def test_a_read_in_a_callee_expression_is_seen():
     assert [(f.checker, f.line, f.col) for f in res.findings] == [("uninitialized-variable", 1, 27)]
 
 
+def test_a_callee_that_is_a_local_is_read():
+    src = "typedef int (*op)(int); int f(op cb) { op fp; cb(1); fp(2); g(3); return 0; }"
+    calls = [s for s in all_stmts(cfg_of(src)) if isinstance(s, CallStmt)]
+    assert [(s.callee, s.callee_expr and s.callee_expr.name) for s in calls] == [
+        ("cb", "cb"), ("fp", "fp"), ("g", None),
+    ]
+    res = analyze_source(b"typedef int (*op)(int); int f(void){ op fp; fp(1); return 0; }", "x.c")
+    assert [(f.checker, f.line, f.col) for f in res.findings] == [("uninitialized-variable", 1, 45)]
+
+
 def test_call_result_through_cast_keeps_target():
     fg = cfg_of("int f(void) { char *p = (char *)malloc(8); return 0; }")
     call = [s for s in all_stmts(fg) if isinstance(s, CallStmt)][0]

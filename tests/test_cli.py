@@ -390,6 +390,7 @@ def test_analyze_crashing_file_is_skipped_not_fatal(tmp_path, capsys, monkeypatc
     assert doc["files_analyzed"] == 1
     assert doc["files_skipped"] == 1
     assert "deep.c" in err and "RecursionError" in err
+    assert err == f"warning: cannot analyze {proj / 'deep.c'}: RecursionError: maximum recursion depth exceeded\n"
 
 
 def test_jobs_parses_every_file_on_the_calling_thread_in_path_order(tmp_path, capsys, monkeypatch):

@@ -267,7 +267,7 @@ def test_changing_returned_index_does_not_leak(tmp_path):
     index = store_dedup([a], dest, "repo-a")
     snapshot = (dest / "index.json").read_bytes()
     (origins,) = index.entries.values()
-    origins.append({"repo": "intruder", "path": "x"})
+    assert type(origins) is tuple  # so no handout can append to the cache's origins
     index.entries["ff" * 32] = [{"repo": "intruder", "path": "y"}]
     index.wat_converted = 9
     index.wat_unconverted.append({"path": "z.wat", "stderr": ""})
@@ -277,6 +277,28 @@ def test_changing_returned_index_does_not_leak(tmp_path):
     assert canonical_json(load_index(dest).to_dict()) == snapshot
     store_dedup([a], dest, "repo-a")
     assert (dest / "index.json").read_bytes() == snapshot
+
+
+def test_handed_out_indexes_share_the_cached_origin_tuples(tmp_path):
+    dest = tmp_path / "dataset"
+    stored = store_dedup([blob(tmp_path, f"m{i}.wasm", b"m%d" % i) for i in range(3)], dest, "repo-a")
+    loaded = load_index(dest)
+    assert stored.entries is not loaded.entries
+    assert stored.entries.keys() == loaded.entries.keys()
+    for digest, origins in stored.entries.items():
+        assert origins is loaded.entries[digest]
+
+
+def test_index_file_equals_loaded_index_after_every_store(tmp_path):
+    dest = tmp_path / "dataset"
+    rng = random.Random(3)
+    for i in range(300):
+        files = [blob(tmp_path, f"s/{i}.wasm", b"seq-%d" % i)]  # a new entry
+        if i:  # and a new origin of an entry stored before
+            files.append(blob(tmp_path, f"s/{i}-again.wasm", b"seq-%d" % rng.randrange(i)))
+        store_dedup(files, dest, f"repo-{i % 5}", root=tmp_path / "src")
+        assert (dest / "index.json").read_bytes() == canonical_json(load_index(dest).to_dict()), i
+    assert len(load_index(dest).entries) == 300
 
 
 def test_failed_store_leaves_index_unchanged(tmp_path):

@@ -239,6 +239,25 @@ def test_multi_declarator_is_a_decl_list():
     assert find_kind(res.unit, "Block") == [functions(res.unit)[0].children[-1]]
 
 
+@pytest.mark.parametrize("src, name, ptr, is_array, is_param", [
+    ("int f(void) { int (*fp)(int); return 0; }", "fp", 1, False, False),
+    ("int (*fp)(int);", "fp", 1, False, False),
+    ("int f(int (*cb)(int), int x) { return x; }", "cb", 1, False, True),
+    ("int f(void) { char *(*tab[4])(void); return 0; }", "tab", 1, True, False),
+    ("int f(void) { int (*row)[8]; return 0; }", "row", 1, False, False),
+])
+def test_parenthesized_declarator(src, name, ptr, is_array, is_param):
+    res = parse_source(src)
+    assert res.diagnostics == []
+    (d,) = [n.decl for n in find_kind(res.unit, "Decl") if n.name == name]
+    assert (d.ptr_depth, d.is_array, d.is_param) == (ptr, is_array, is_param)
+
+
+def test_parenthesized_declarator_declares_its_name():
+    res = analyze_source(b"int f(void){ int (*fp)(int); fp(1); return 0; }", "x.c")
+    assert [(f.checker, f.line, f.col) for f in res.findings] == [("uninitialized-variable", 1, 30)]
+
+
 # -- precedence: random expression trees, printed with only the parentheses
 # their operators' precedence needs, parse back to the same tree.
 
