@@ -297,7 +297,7 @@ class Parser:
         the parentheses make the type, and a parameter list or bounds
         after them are skipped."""
         ptr = self._stars()
-        nested = self.at("(")
+        nested = self.at("(") and self._paren_declarator_ahead()
         if nested:
             self.advance()
             ptr = self._stars()
@@ -311,6 +311,26 @@ class Parser:
                 self.skip_balanced("(", ")")
             self._skip_bounds()
         return DeclInfo(name, base, ptr, is_array, is_param=is_param)
+
+    def _paren_declarator_ahead(self) -> bool:
+        """Whether `(`, stars, a name, any `[...]` and `)` follow. Anything
+        else in parentheses, such as the abstract `(*)(int)` or `(&a)[3]`,
+        is left unread, so the caller fails at the `(`."""
+        toks = self.toks
+        i = self.pos + 1
+        while toks[i].lexeme in ("*", "const"):
+            i += 1
+        if toks[i].kind != KIND_IDENT:
+            return False
+        i += 1
+        while toks[i].lexeme == "[":
+            depth = 1
+            i += 1
+            while depth and i < self.n:
+                lx = toks[i].lexeme
+                depth += (lx == "[") - (lx == "]")
+                i += 1
+        return toks[i].lexeme == ")"
 
     def _stars(self) -> int:
         ptr = 0
@@ -420,7 +440,7 @@ class Parser:
         while self.at("*"):
             self.advance()
             ptr += 1
-        if self.at("("):  # a parenthesized declarator, such as `(*fp)(int)`
+        if self.at("(") and self._paren_declarator_ahead():  # such as `(*fp)(int)`
             self.pos = start
             return self.parse_decl_statement()
         if self.peek().kind != KIND_IDENT:
@@ -476,7 +496,9 @@ class Parser:
                         )
                     )
                 except _ParseError:
-                    # abstract or unparsable parameter: skip to , or )
+                    # abstract or unparsable parameter: skip to , or ) from
+                    # its start, so parentheses it opened are balanced
+                    self.pos = start
                     depth = 0
                     while not self.at_end():
                         lx = self.peek().lexeme

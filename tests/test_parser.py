@@ -253,6 +253,21 @@ def test_parenthesized_declarator(src, name, ptr, is_array, is_param):
     assert (d.ptr_depth, d.is_array, d.is_param) == (ptr, is_array, is_param)
 
 
+@pytest.mark.parametrize("param", [
+    "int (*)(const void *, const void *)",  # abstract, as in qsort or bsearch
+    "void (*)(void)",
+    "void (CALLBACK *cb)(int)",
+    "int (&a)[3]",
+])
+def test_parameter_in_parentheses_without_a_plain_name_is_skipped(param):
+    res = parse_source(f"void sort(void *base, size_t n, {param});\nint g(void) {{ return 0; }}")
+    assert res.diagnostics == []
+    assert [fn.name for fn in functions(res.unit)] == ["g"]
+    src = f"int f({param}, int x) {{ char *p = 0; free(p); free(p); return x; }}"
+    res = analyze_source(src.encode(), "x.c")
+    assert (res.skipped_sites, [f.checker for f in res.findings]) == (0, ["double-free"])
+
+
 def test_parenthesized_declarator_declares_its_name():
     res = analyze_source(b"int f(void){ int (*fp)(int); fp(1); return 0; }", "x.c")
     assert [(f.checker, f.line, f.col) for f in res.findings] == [("uninitialized-variable", 1, 30)]
