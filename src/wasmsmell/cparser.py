@@ -291,46 +291,40 @@ class Parser:
                 continue
             return saw_star and nxt.kind == KIND_IDENT
 
-    def parse_declarator(self, base: str, is_param: bool = False) -> DeclInfo:
-        """A name with its stars and bounds. In a parenthesized declarator
-        such as `(*fp)(int)` or `(*tab[4])`, the stars and bounds inside
-        the parentheses make the type, and a parameter list or bounds
-        after them are skipped."""
-        ptr = self._stars()
-        nested = self.at("(") and self._paren_declarator_ahead()
-        if nested:
+    def parse_declarator(
+        self, base: str, is_param: bool = False, depth: int = 0, ptr: int = 0
+    ) -> tuple[DeclInfo, list[AstNode] | None]:
+        """C's declarator: stars, then a name or a parenthesized declarator,
+        then any `[...]` bounds and a parameter list. Returns the name's
+        DeclInfo, and the parameters when a list follows the name, as in
+        `f(int a)` or `(*get(void))(int)`. The stars and bounds at the
+        name's level make the type; the bounds and parameter lists of the
+        levels around it, such as the `(int)` of `(*fp)(int)`, are skipped.
+        `ptr` counts the stars the caller read; `depth` the parentheses
+        this declarator is nested in."""
+        if depth > MAX_EXPR_DEPTH:
+            raise _ParseError("declarator too deeply nested")
+        ptr += self._stars()
+        if self.at("(") and not self._params_next():
             self.advance()
-            ptr = self._stars()
-        if self.peek().kind != KIND_IDENT:
-            raise _ParseError("expected declarator name")
-        name = self.advance().lexeme
-        is_array = self._skip_bounds()
-        if nested:
+            info, params = self.parse_declarator(base, is_param, depth + 1)
             self.expect(")")
             if self.at("("):
                 self.skip_balanced("(", ")")
             self._skip_bounds()
-        return DeclInfo(name, base, ptr, is_array, is_param=is_param)
+            return info, params
+        if self.peek().kind != KIND_IDENT:
+            raise _ParseError("expected declarator name")
+        name = self.advance().lexeme
+        is_array = self._skip_bounds()
+        params = self.parse_params(depth + 1) if self.at("(") else None
+        return DeclInfo(name, base, ptr, is_array, is_param=is_param), params
 
-    def _paren_declarator_ahead(self) -> bool:
-        """Whether `(`, stars, a name, any `[...]` and `)` follow. Anything
-        else in parentheses, such as the abstract `(*)(int)` or `(&a)[3]`,
-        is left unread, so the caller fails at the `(`."""
-        toks = self.toks
-        i = self.pos + 1
-        while toks[i].lexeme in ("*", "const"):
-            i += 1
-        if toks[i].kind != KIND_IDENT:
-            return False
-        i += 1
-        while toks[i].lexeme == "[":
-            depth = 1
-            i += 1
-            while depth and i < self.n:
-                lx = toks[i].lexeme
-                depth += (lx == "[") - (lx == "]")
-                i += 1
-        return toks[i].lexeme == ")"
+    def _params_next(self) -> bool:
+        """At a `(`: a parameter list starts here when `)`, `...` or a type
+        follows, as in the abstract `(int)`; otherwise a nested declarator."""
+        nxt = self.peek(1)
+        return nxt.lexeme in (")", "...") or self.is_type_token(nxt)
 
     def _stars(self) -> int:
         ptr = 0
@@ -348,50 +342,53 @@ class Parser:
             self.skip_balanced_from_open("[", "]")
         return found
 
-    def parse_decl_statement(self) -> AstNode:
+    def parse_declaration(self, top_level: bool = False) -> AstNode:
+        """Specifiers, then `;`, a tag body or declarators with initializers
+        up to `;`. At file scope, a first declarator with a parameter list
+        followed by `{` makes a FunctionDef instead."""
         start = self.pos
         if self.at("typedef"):
             return self.parse_typedef(start)
         base = self.parse_specifiers()
+        ptr = self._stars()
         if self.at(";"):  # e.g. `struct point;` or bare specifier
             self.advance()
             return AstNode("Decl", self.span_from(start))
         if self.at("{"):
-            # struct/union/enum body: skip it opaquely.
+            # struct/union/enum body: skip it opaquely; at file scope any
+            # declarators after it are left to the next declaration
             self.skip_balanced("{", "}")
-            while not self.at_end() and not self.at(";"):
+            while not top_level and not self.at_end() and not self.at(";"):
                 self.advance()
             if self.at(";"):
                 self.advance()
             return AstNode("Decl", self.span_from(start))
+        info, params = self.parse_declarator(base, ptr=ptr)
+        if top_level and params is not None and self.at("{"):
+            body = self.parse_block()
+            return AstNode("FunctionDef", self.span_from(start), params + [body], name=info.name, value=base)
         decls = []
         while True:
-            info = self.parse_declarator(base)
             init = None
             if self.at("="):
                 self.advance()
                 init = self.parse_expression(0, _ASSIGN)
                 info.has_init = True
-            node = AstNode(
-                "Decl",
-                self.span_from(start),
-                [init] if init is not None else [],
-                name=info.name,
-                decl=info,
-            )
-            decls.append(node)
-            if self.at(","):
-                self.advance()
-                continue
-            break
+            decls.append((info, params, init))
+            if not self.at(","):
+                break
+            self.advance()
+            info, params = self.parse_declarator(base)
         self.expect(";")
         span = self.span_from(start)
-        for d in decls:
-            d.span = span
-        if len(decls) == 1:
-            return decls[0]
+        nodes = [
+            # a prototype, such as `int g(int);`, declares no variable
+            AstNode("Decl", span, [init] if init is not None else [], name=info.name,
+                    decl=info if params is None else None)
+            for info, params, init in decls
+        ]
         # `int a, b;` declares both names in the enclosing scope
-        return AstNode("DeclList", span, decls)
+        return nodes[0] if len(nodes) == 1 else AstNode("DeclList", span, nodes)
 
     def parse_typedef(self, start: int) -> AstNode:
         self.expect("typedef")
@@ -429,49 +426,12 @@ class Parser:
     # -- top level ------------------------------------------------------
 
     def parse_external(self) -> AstNode:
-        start = self.pos
         t = self.peek()
         if t.lexeme in ("class", "template", "namespace", "using"):
             raise _ParseError(f"unsupported C++ construct {t.lexeme!r}")
-        if self.at("typedef"):
-            return self.parse_typedef(start)
-        base = self.parse_specifiers()
-        ptr = 0
-        while self.at("*"):
-            self.advance()
-            ptr += 1
-        if self.at("(") and self._paren_declarator_ahead():  # such as `(*fp)(int)`
-            self.pos = start
-            return self.parse_decl_statement()
-        if self.peek().kind != KIND_IDENT:
-            if self.at("{"):  # struct body
-                self.skip_balanced("{", "}")
-                if self.at(";"):
-                    self.advance()
-                return AstNode("Decl", self.span_from(start))
-            if self.at(";"):
-                self.advance()
-                return AstNode("Decl", self.span_from(start))
-            raise _ParseError("expected top-level declarator")
-        name = self.advance().lexeme
-        if self.at("("):
-            params = self.parse_params()
-            if self.at("{"):
-                body = self.parse_block()
-                span = self.span_from(start)
-                fn = AstNode(
-                    "FunctionDef", span, params + [body], name=name, value=base
-                )
-                return fn
-            if self.at(";"):
-                self.advance()
-                return AstNode("Decl", self.span_from(start), name=name)
-            raise _ParseError("expected function body or ';'")
-        # plain variable decl at top level; rewind and reuse the statement path
-        self.pos = start
-        return self.parse_decl_statement()
+        return self.parse_declaration(top_level=True)
 
-    def parse_params(self) -> list[AstNode]:
+    def parse_params(self, depth: int) -> list[AstNode]:
         self.expect("(")
         params: list[AstNode] = []
         if self.at(")"):
@@ -486,7 +446,7 @@ class Parser:
             else:
                 try:
                     base = self.parse_specifiers()
-                    info = self.parse_declarator(base, is_param=True)
+                    info, _ = self.parse_declarator(base, True, depth)
                     params.append(
                         AstNode(
                             "Decl",
@@ -496,19 +456,20 @@ class Parser:
                         )
                     )
                 except _ParseError:
-                    # abstract or unparsable parameter: skip to , or ) from
-                    # its start, so parentheses it opened are balanced
+                    # abstract, unparsable or too deeply nested parameter:
+                    # skip to , or ) from its start, so parentheses it
+                    # opened are balanced
                     self.pos = start
-                    depth = 0
+                    nest = 0
                     while not self.at_end():
                         lx = self.peek().lexeme
                         if lx == "(":
-                            depth += 1
+                            nest += 1
                         elif lx == ")":
-                            if depth == 0:
+                            if nest == 0:
                                 break
-                            depth -= 1
-                        elif lx == "," and depth == 0:
+                            nest -= 1
+                        elif lx == "," and nest == 0:
                             break
                         self.advance()
             if self.at(","):
@@ -600,10 +561,8 @@ class Parser:
             return AstNode("ExprStmt", self.span_from(start))
         if lx in ("class", "template", "namespace", "do", "using"):
             raise _ParseError(f"unsupported construct {lx!r}")
-        if lx == "typedef":
-            return self.parse_typedef(start)
-        if self.starts_decl():
-            return self.parse_decl_statement()
+        if lx == "typedef" or self.starts_decl():
+            return self.parse_declaration()
         expr = self.parse_expression(0)
         self.expect(";")
         return AstNode("ExprStmt", self.span_from(start), [expr])
@@ -637,7 +596,7 @@ class Parser:
             self.advance()
             init = AstNode("ExprStmt", self.span_from(start))
         elif self.starts_decl():
-            init = self.parse_decl_statement()
+            init = self.parse_declaration()
         else:
             e = self.parse_expression(0)
             self.expect(";")

@@ -245,12 +245,20 @@ def test_multi_declarator_is_a_decl_list():
     ("int f(int (*cb)(int), int x) { return x; }", "cb", 1, False, True),
     ("int f(void) { char *(*tab[4])(void); return 0; }", "tab", 1, True, False),
     ("int f(void) { int (*row)[8]; return 0; }", "row", 1, False, False),
+    ("int f(void) { int (*(*fpp))(int); return 0; }", "fpp", 1, False, False),
+    ("int (*(*fpp))(int);", "fpp", 1, False, False),
+    ("int f(int cb(int)) { return cb(0); }", "cb", 0, False, True),
+    # a local prototype declares no variable
+    ("int f(void) { int g(int); return g(1); }", "g", None, None, None),
 ])
 def test_parenthesized_declarator(src, name, ptr, is_array, is_param):
     res = parse_source(src)
     assert res.diagnostics == []
     (d,) = [n.decl for n in find_kind(res.unit, "Decl") if n.name == name]
-    assert (d.ptr_depth, d.is_array, d.is_param) == (ptr, is_array, is_param)
+    if ptr is None:
+        assert d is None
+    else:
+        assert (d.ptr_depth, d.is_array, d.is_param) == (ptr, is_array, is_param)
 
 
 @pytest.mark.parametrize("param", [
@@ -271,6 +279,107 @@ def test_parameter_in_parentheses_without_a_plain_name_is_skipped(param):
 def test_parenthesized_declarator_declares_its_name():
     res = analyze_source(b"int f(void){ int (*fp)(int); fp(1); return 0; }", "x.c")
     assert [(f.checker, f.line, f.col) for f in res.findings] == [("uninitialized-variable", 1, 30)]
+
+
+def test_local_prototype_leaves_the_call_direct():
+    src = b"int f(void){ int g(int); g(1); char *p = malloc(1); free(p); free(p); return 0; }"
+    res = analyze_source(src, "x.c")
+    assert [f.checker for f in res.findings] == ["double-free"]
+
+
+def test_function_returning_a_function_pointer_is_analysed():
+    src = "int (*get(void))(int) { char *p = 0; free(p); free(p); return 0; }"
+    res = parse_source(src)
+    assert res.diagnostics == []
+    assert [(n.kind, n.name) for n in res.unit.children] == [("FunctionDef", "get")]
+    res = analyze_source(src.encode(), "x.c")
+    assert (res.skipped_sites, [f.checker for f in res.findings]) == (0, ["double-free"])
+
+
+def test_declarator_nested_two_levels_deep_is_read():
+    src = "int f(void){ int (*(*fpp))(int); (*fpp)(1); return 0; }"
+    assert parse_source(src).diagnostics == []
+    res = analyze_source(src.encode(), "x.c")
+    assert [(f.checker, f.col) for f in res.findings] == [("uninitialized-variable", 36)]
+
+
+def test_deep_declarators_hit_the_depth_limit_not_recursion():
+    def messages(src):
+        return [d.message for d in parse_source(src).diagnostics]
+
+    def nested(n):
+        return "int " + "(" * n + "x" + ")" * n + ";"
+
+    assert messages(nested(150)) == []
+    assert messages(nested(151)) == ["declarator too deeply nested"]
+    assert messages(nested(5000)) == ["declarator too deeply nested"]
+    # past the limit, an inner parameter is skipped like an abstract one
+    params = "void f(" + "int g(" * 3000 + ")" * 3001 + ";"
+    assert messages(params) == []
+    for src in (nested(5000), params):
+        assert analyze_source(src.encode(), "x.c").findings == []
+
+
+# -- declarators: random nestings of stars, parentheses, bounds and
+# parameter lists, printed and parsed back.
+
+DECL_NAMES = ["a", "fp", "get", "tab"]
+
+
+@st.composite
+def declarators(draw, depth=0):
+    """(tokens, (name, ptr_depth, is_array, params)): params is None
+    without a parameter list after the name, else the (name, ptr_depth,
+    is_array) of each named parameter."""
+    def stars():
+        return [t for _ in range(draw(st.integers(0, 2))) for t in draw(st.sampled_from([["*"], ["*", "const"]]))]
+
+    ptr_toks = stars()
+    name = draw(st.sampled_from(DECL_NAMES))
+    bounds = draw(st.sampled_from([[], ["[", "]"], ["[", "4", "]"], ["[", "n", "+", "1", "]", "[", "2", "]"]]))
+    toks = ptr_toks + [name] + bounds
+    params = None
+    if draw(st.booleans()):
+        params, plist = [], []
+        for _ in range(draw(st.integers(0, 2)) if depth < 2 else 0):
+            if draw(st.integers(0, 4)) == 0:  # abstract: skipped, no Decl
+                plist.append(["void", "(", "*", ")", "(", "void", ")"])
+                continue
+            ptoks, (pname, pptr, parray, _) = draw(declarators(depth + 1))
+            plist.append(["char"] + ptoks)
+            params.append((pname, pptr, parray))
+        if plist and draw(st.booleans()):
+            plist.append(["..."])
+        joined = [t for i, p in enumerate(plist) for t in ([","] if i else []) + p]
+        toks += ["("] + (joined or draw(st.sampled_from([[], ["void"]]))) + [")"]
+    expect = (name, ptr_toks.count("*"), bool(bounds), params)
+    for _ in range(draw(st.integers(0, 3))):  # enclosing levels
+        outer = ["*"] + stars() if draw(st.booleans()) else []
+        suffix = draw(st.sampled_from([[], ["(", "int", ")"], ["[", "8", "]"], ["(", ")", "[", "2", "]"]]))
+        toks = outer + ["("] + toks + [")"] + suffix
+    return toks, expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(declarators(), st.booleans())
+def test_declarator_round_trip(decl, at_file_scope):
+    toks, (name, ptr, is_array, params) = decl
+    text = "int " + " ".join(toks)
+    if params is not None and at_file_scope:
+        text += " { return 0; }"
+    else:
+        text += ";"
+    res = parse_source(text if at_file_scope else f"int f(void) {{ {text} return 0; }}")
+    assert res.diagnostics == [], text
+    node = res.unit.children[0] if at_file_scope else res.unit.children[0].children[-1].children[0]
+    assert (node.kind, node.name) == ("FunctionDef" if params is not None and at_file_scope else "Decl", name), text
+    if params is None:
+        assert (node.decl.name, node.decl.ptr_depth, node.decl.is_array) == (name, ptr, is_array), text
+    elif at_file_scope:
+        got = [(p.name, p.decl.ptr_depth, p.decl.is_array, p.decl.is_param) for p in node.children[:-1]]
+        assert got == [(*p, True) for p in params], text
+    else:
+        assert node.decl is None, text
 
 
 # -- precedence: random expression trees, printed with only the parentheses
