@@ -75,7 +75,7 @@ class Assign:
 
 @dataclass
 class CallStmt:
-    callee: str | None  # None when the callee is not a plain name
+    callee: str | None  # the function's name; None when callee_expr is set
     args: list[AstNode]
     target: str | None
     span: Span
@@ -173,9 +173,8 @@ class _Lowerer:
         if kind == "Literal":
             return node
         if kind == "Call":
-            callee_expr, args = self.lower_call(node)
             tmp = self.fresh_temp()
-            self.emit(CallStmt(node.name, args, tmp, node.span, callee_expr=callee_expr))
+            self.lower_call(node, tmp, node.span)
             return AstNode("Ident", node.span, name=tmp)
         if kind == "Unary" and node.value in ("++", "--"):
             operand = self.lower_expr(node.children[0])
@@ -210,16 +209,18 @@ class _Lowerer:
             return node
         return AstNode(kind, node.span, children, name=node.name, value=node.value, literal_kind=node.literal_kind)
 
-    def lower_call(self, call: AstNode) -> tuple[AstNode | None, list[AstNode]]:
-        """Lower a callee that is not a function's name, such as `t->cb`,
-        `pick(x)` or a local `fp`, then the arguments; calls in either are
-        hoisted first."""
+    def lower_call(self, call: AstNode, target: str, span: Span):
+        """Emit `target = call(...)`. A callee that is a name no local or
+        parameter holds is the function's name; any other, such as `t->cb`,
+        `pick(x)` or a local `fp` or `free`, is lowered into `callee_expr`,
+        then the arguments; calls in either are hoisted first."""
         callee = call.children[0]
         if callee.kind == "Ident" and self.scopes.resolve(callee.name) is None:
-            callee_expr = None
+            name, callee_expr = callee.name, None
         else:
-            callee_expr = self.lower_expr(callee)
-        return callee_expr, [self.lower_expr(a) for a in call.children[1:]]
+            name, callee_expr = None, self.lower_expr(callee)
+        args = [self.lower_expr(a) for a in call.children[1:]]
+        self.emit(CallStmt(name, args, target, span, self.symbols.get(target), callee_expr))
 
     def lower_assign_rhs(self, lhs: AstNode, op: str, rhs: AstNode, span: Span) -> AstNode:
         if lhs.kind == "Ident":
@@ -242,10 +243,7 @@ class _Lowerer:
         while core.kind == "Cast":
             core = core.children[0]
         if core.kind == "Call":
-            callee_expr, args = self.lower_call(core)
-            self.emit(
-                CallStmt(core.name, args, target, span, self.symbols.get(target), callee_expr)
-            )
+            self.lower_call(core, target, span)
         else:
             expr = self.lower_expr(rhs)
             self.emit(Assign(target, expr, span))

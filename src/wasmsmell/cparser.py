@@ -621,9 +621,13 @@ class Parser:
         """Lower `switch` into an if/else-if chain over `==` comparisons,
         inside one Block: as in C, the whole body is one scope. Each arm's
         statements are an `Arm`, which opens no scope of its own, so a name
-        declared in one arm is in scope in the arms after it."""
+        declared in one arm is in scope in the arms after it. The scrutinee
+        is evaluated once, into a `%switch` declared at the head of the
+        Block, and each arm compares that name; no C source can spell it."""
         self.expect("switch")
         scrut = self.parse_paren_condition()
+        hidden = AstNode("Decl", scrut.span, [scrut], name="%switch", decl=DeclInfo("%switch", "int", has_init=True))
+        subject = AstNode("Ident", scrut.span, name="%switch")
         self.expect("{")
         arms: list[tuple[AstNode | None, list[AstNode]]] = []
         current: list[AstNode] | None = None
@@ -664,10 +668,10 @@ class Parser:
                     [AstNode("Literal", span, value="1", literal_kind=KIND_INT), body, node],
                 )
             else:
-                cond = AstNode("Binary", span, [scrut, label], value="==")
+                cond = AstNode("Binary", span, [subject, label], value="==")
                 children = [cond, body] + ([node] if node is not None else [])
                 node = AstNode("If", span, children)
-        return AstNode("Block", span, [node] if node is not None else [])
+        return AstNode("Block", span, [hidden] if node is None else [hidden, node])
 
     # -- expressions --------------------------------------------------------
     #

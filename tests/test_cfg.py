@@ -73,7 +73,7 @@ def test_a_callee_that_is_a_local_is_read():
     src = "typedef int (*op)(int); int f(op cb) { op fp; cb(1); fp(2); g(3); return 0; }"
     calls = [s for s in all_stmts(cfg_of(src)) if isinstance(s, CallStmt)]
     assert [(s.callee, s.callee_expr and s.callee_expr.name) for s in calls] == [
-        ("cb", "cb"), ("fp", "fp"), ("g", None),
+        (None, "cb"), (None, "fp"), ("g", None),
     ]
     res = analyze_source(b"typedef int (*op)(int); int f(void){ op fp; fp(1); return 0; }", "x.c")
     assert [(f.checker, f.line, f.col) for f in res.findings] == [("uninitialized-variable", 1, 45)]
@@ -178,9 +178,19 @@ def test_switch_arms_share_one_scope():
     # The `a` of the first arm is the one the second arm assigns; the
     # `return` after the switch reads the outer `a` again.
     fg = cfg_of("int f(int x) { int a = 1; switch (x) { case 1: int a = 2; case 2: a = 3; } return a; }")
-    assert [s.target for s in all_stmts(fg) if isinstance(s, Assign)] == ["a", "a@2", "a@2"]
+    assert [s.target for s in all_stmts(fg) if isinstance(s, Assign)] == ["a", "%switch", "a@2", "a@2"]
     (ret,) = [s for s in all_stmts(fg) if isinstance(s, ReturnStmt)]
     assert ret.expr.name == "a"
+
+
+def test_switch_scrutinee_is_evaluated_once():
+    # Each arm compares the one hidden name; the call in the scrutinee is
+    # lowered once, at the column where it is written.
+    fg = cfg_of("int f(int x) { switch (g(x)) { case 1: return 1; case 2: return 2; case 3: return 3; } return 0; }")
+    calls = [s for s in all_stmts(fg) if isinstance(s, CallStmt)]
+    assert [(s.callee, s.target, s.span.col) for s in calls] == [("g", "%switch", 24)]
+    conds = [s.expr.children[0].name for s in all_stmts(fg) if isinstance(s, CondBranch)]
+    assert conds == ["%switch"] * 3
 
 
 def test_declared_types_in_symbols():

@@ -239,3 +239,36 @@ def test_switch_body_is_one_scope():
         for name, src in [("in_arm", in_arm), ("before", before), ("after", after)]
     }
     assert found == {"in_arm": [("format-arg-type", 1, 75)], "before": [("format-arg-type", 1, 75)], "after": []}
+
+
+SHADOWED_LIBRARY_CALLS = {
+    "free": b"void release(void *q); int f(char *p){ void (*free)(void *) = release; free(p); free(p); return 0; }",
+    "getenv": b'int f(void){ char *(*getenv)(const char *) = 0; getenv("X"); return 0; }',
+    "printf": b'int f(void){ int (*printf)(const char *, ...) = 0; printf("%d %s"); return 0; }',
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHADOWED_LIBRARY_CALLS))
+def test_a_local_that_shadows_a_library_function_is_not_it(name):
+    findings = analyze_source(SHADOWED_LIBRARY_CALLS[name], "t.c", all_checker_ids()).findings
+    assert findings == []
+
+
+SWITCH_SCRUTINEES = {
+    "free": (b"int f(char *p){ switch (free(p), 0) { case 1: return 1; case 2: return 2; } return 0; }", []),
+    "fclose": (
+        b'int f(void){ FILE *fp = fopen("a","r"); switch (fclose(fp)) { case 1: return 1; case 2: return 2; } return 0; }',
+        [("error-without-action", 1, 49)],
+    ),
+    "getenv": (
+        b'int f(void){ switch (getenv("X")[0]) { case 1: return 1; case 2: return 2; } return 0; }',
+        [("access-env", 1, 22)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWITCH_SCRUTINEES))
+def test_switch_scrutinee_is_evaluated_once(name):
+    src, expected = SWITCH_SCRUTINEES[name]
+    findings = analyze_source(src, "t.c", all_checker_ids()).findings
+    assert [(f.checker, f.line, f.col) for f in findings] == expected
