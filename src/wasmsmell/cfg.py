@@ -210,10 +210,11 @@ class _Lowerer:
         return AstNode(kind, node.span, children, name=node.name, value=node.value, literal_kind=node.literal_kind)
 
     def lower_call(self, call: AstNode, target: str, span: Span):
-        """Emit `target = call(...)`. A callee that is a name no local or
-        parameter holds is the function's name; any other, such as `t->cb`,
-        `pick(x)` or a local `fp` or `free`, is lowered into `callee_expr`,
-        then the arguments; calls in either are hoisted first."""
+        """Emit `target = call(...)`. The callee is the function's name when
+        it is a name that no local or parameter holds; any other callee, such
+        as `t->cb`, `pick(x)` or a local `fp` or `free`, is lowered into
+        `callee_expr`. Calls in the callee or the arguments are hoisted
+        first."""
         callee = call.children[0]
         if callee.kind == "Ident" and self.scopes.resolve(callee.name) is None:
             name, callee_expr = callee.name, None

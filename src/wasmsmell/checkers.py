@@ -408,7 +408,7 @@ def _scan(root: AstNode, scopes: Scopes, declare: bool, enabled, result: Structu
         elif kind == "Decl":
             if declare and n.decl is not None:
                 scopes.declare(n.decl)
-        elif kind == "Call" and scopes.resolve(n.name) is None:  # not a local such as `fp`
+        elif kind == "Call" and scopes.resolve(n.name) is None:  # a local `getenv` is not the function
             if n.name == "getenv" and "access-env" in enabled:
                 result.findings.append(
                     _mk(

@@ -381,13 +381,13 @@ class Parser:
             info, params = self.parse_declarator(base)
         self.expect(";")
         span = self.span_from(start)
+        # `int a, b;` declares both names in the enclosing scope; a
+        # prototype, such as `int g(int);`, declares no variable
         nodes = [
-            # a prototype, such as `int g(int);`, declares no variable
-            AstNode("Decl", span, [init] if init is not None else [], name=info.name,
+            AstNode("Decl", span, [] if init is None else [init], name=info.name,
                     decl=info if params is None else None)
             for info, params, init in decls
         ]
-        # `int a, b;` declares both names in the enclosing scope
         return nodes[0] if len(nodes) == 1 else AstNode("DeclList", span, nodes)
 
     def parse_typedef(self, start: int) -> AstNode:
@@ -626,7 +626,9 @@ class Parser:
         Block, and each arm compares that name; no C source can spell it."""
         self.expect("switch")
         scrut = self.parse_paren_condition()
-        hidden = AstNode("Decl", scrut.span, [scrut], name="%switch", decl=DeclInfo("%switch", "int", has_init=True))
+        hidden = AstNode(
+            "Decl", scrut.span, [scrut], name="%switch", decl=DeclInfo("%switch", "int", has_init=True)
+        )
         subject = AstNode("Ident", scrut.span, name="%switch")
         self.expect("{")
         arms: list[tuple[AstNode | None, list[AstNode]]] = []

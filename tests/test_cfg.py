@@ -183,7 +183,7 @@ def test_switch_arms_share_one_scope():
     assert ret.expr.name == "a"
 
 
-def test_switch_scrutinee_is_evaluated_once():
+def test_switch_arms_compare_one_hidden_name():
     # Each arm compares the one hidden name; the call in the scrutinee is
     # lowered once, at the column where it is written.
     fg = cfg_of("int f(int x) { switch (g(x)) { case 1: return 1; case 2: return 2; case 3: return 3; } return 0; }")
