@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .cfg import Scopes
 from .cparser import AstNode, DeclInfo
-from .engine import Checker, Init, Null, Resource
+from .engine import Checker, Null, Resource
 from .lexer import KIND_CHAR, KIND_INT, KIND_STRING, KIND_WSTRING
 from .report import Finding
 
@@ -118,7 +118,7 @@ class UninitializedVariableChecker(Checker):
     id = "uninitialized-variable"
 
     def variable_read(self, ctx, state, var, sym, span):
-        if state.init.get(sym) is not Init.UNINIT:
+        if sym not in state.uninit:
             return
         decl = ctx.decl_of(var)
         if decl is None or decl.is_param or decl.is_array:

@@ -343,25 +343,21 @@ class Parser:
         return found
 
     def parse_declaration(self, top_level: bool = False) -> AstNode:
-        """Specifiers, then `;`, a tag body or declarators with initializers
-        up to `;`. At file scope, a first declarator with a parameter list
-        followed by `{` makes a FunctionDef instead."""
+        """Specifiers and any struct/union/enum body, then `;` or
+        declarators with initializers up to `;`. At file scope, a first
+        declarator with a parameter list followed by `{` makes a FunctionDef
+        instead. A `static` or `extern` declarator counts as initialized:
+        such storage starts zeroed or is set elsewhere."""
         start = self.pos
         if self.at("typedef"):
             return self.parse_typedef(start)
         base = self.parse_specifiers()
+        stored = any(t.lexeme in ("static", "extern") for t in self.toks[start:self.pos])
+        if self.at("{"):  # a tag body, skipped opaquely
+            self.skip_balanced("{", "}")
         ptr = self._stars()
         if self.at(";"):  # e.g. `struct point;` or bare specifier
             self.advance()
-            return AstNode("Decl", self.span_from(start))
-        if self.at("{"):
-            # struct/union/enum body: skip it opaquely; at file scope any
-            # declarators after it are left to the next declaration
-            self.skip_balanced("{", "}")
-            while not top_level and not self.at_end() and not self.at(";"):
-                self.advance()
-            if self.at(";"):
-                self.advance()
             return AstNode("Decl", self.span_from(start))
         info, params = self.parse_declarator(base, ptr=ptr)
         if top_level and params is not None and self.at("{"):
@@ -373,7 +369,7 @@ class Parser:
             if self.at("="):
                 self.advance()
                 init = self.parse_expression(0, _ASSIGN)
-                info.has_init = True
+            info.has_init = init is not None or stored
             decls.append((info, params, init))
             if not self.at(","):
                 break

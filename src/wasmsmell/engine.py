@@ -9,16 +9,15 @@ report findings; the engine owns all resource, initialization, and
 null-constraint transitions.
 
 At join blocks (two or more incoming edges) the walk is memoized: a
-finished subtree is recorded under (block, loop counters,
-``state_key``), and a path that reaches the same key again adds the
-recorded path count instead of walking the subtree a second time. Its
-findings are already reported, since they depend only on that key. The
-memo is exact: findings, ``paths_explored`` and ``exhausted`` equal
-those of a full walk at every budget, so findings stay monotone in
-``max_paths``, and ``paths_explored`` counts the paths represented,
+finished subtree is recorded under (block, counters of the loops still
+reachable, ``state_key``), and a path that reaches the same key again
+adds the recorded path count instead of walking the subtree a second
+time. Its findings are already reported, since they depend only on that
+key. The memo is exact: findings, ``paths_explored`` and ``exhausted``
+equal those of a full walk at every budget, so findings stay monotone
+in ``max_paths``, and ``paths_explored`` counts the paths represented,
 not the work done. A hit that would pass the budget stops the walk at
-``max_paths`` as the full walk would have, partway through that
-subtree.
+``max_paths`` as the full walk would have, partway through that subtree.
 
 Before the key is taken, the walk deletes every binding whose name is
 not live into the join block (``live_in``): the temporary of a hoisted
@@ -26,7 +25,12 @@ call after its one use, or a block local after its block ends.
 ``state_key`` then leaves out the symbols only those names reached. This
 keeps the memo exact: no path from the join reads a dead name before
 writing it, and every read of a symbol goes through a binding, so no
-later step can tell the two states apart.
+later step can tell the two states apart. Likewise the key keeps only
+the counters of loop entries and back edges some path from the join
+can still take (``readable_counters``), and ``PathState`` holds only
+what a checker reads: ``uninit`` (a ``static`` or ``extern`` local
+starts initialized) and ``origin``, the callee that produced a call's
+result.
 """
 
 from __future__ import annotations
@@ -60,10 +64,7 @@ class Resource(Enum):
     FILE_CLOSED = "file-closed"
     UNTRACKED = "untracked"
 
-
-class Init(Enum):
-    UNINIT = "uninit"
-    INIT = "init"
+    __hash__ = object.__hash__  # Enum's own hash is a Python-level call
 
 
 class Null(Enum):
@@ -71,15 +72,17 @@ class Null(Enum):
     IS_NULL = "is-null"
     NON_NULL = "non-null"
 
+    __hash__ = object.__hash__
+
 
 @dataclass
 class PathState:
     bindings: dict[str, int] = field(default_factory=dict)
     resource: dict[int, Resource] = field(default_factory=dict)
-    init: dict[int, Init] = field(default_factory=dict)
+    uninit: set[int] = field(default_factory=set)
     nullc: dict[int, Null] = field(default_factory=dict)
     konst: dict[int, int] = field(default_factory=dict)
-    origin: dict[int, str] = field(default_factory=dict)
+    origin: dict[int, str] = field(default_factory=dict)  # call result -> callee
     derived: dict[int, tuple[int, int | None]] = field(default_factory=dict)
     fd_int: set[int] = field(default_factory=set)
     flags: set[str] = field(default_factory=set)
@@ -88,7 +91,7 @@ class PathState:
         return PathState(
             dict(self.bindings),
             dict(self.resource),
-            dict(self.init),
+            set(self.uninit),
             dict(self.nullc),
             dict(self.konst),
             dict(self.origin),
@@ -151,7 +154,7 @@ def state_key(state: PathState) -> tuple:
         if sym not in number:
             number[sym] = len(order)
             order.append(sym)
-    resource, init, nullc = state.resource.get, state.init.get, state.nullc.get
+    resource, uninit, nullc = state.resource.get, state.uninit, state.nullc.get
     konst, origin, derived, fd_int = state.konst.get, state.origin.get, state.derived.get, state.fd_int
     syms = []
     for sym in order:  # grows as derived bases are numbered
@@ -162,7 +165,7 @@ def state_key(state: PathState) -> tuple:
                 number[base] = len(order)
                 order.append(base)
             d = (number[base], offset)
-        syms.append((resource(sym), init(sym), nullc(sym), konst(sym), origin(sym), d, sym in fd_int))
+        syms.append((resource(sym), sym in uninit, nullc(sym), konst(sym), origin(sym), d, sym in fd_int))
     return (
         tuple(names),
         tuple([number[bindings[name]] for name in names]),
@@ -230,6 +233,28 @@ def live_in(fg: FlowGraph) -> dict[int, set[str]]:
     return result
 
 
+def readable_counters(fg: FlowGraph) -> dict[int, set[tuple]]:
+    """The loop counters each block can still read: those of the loop
+    entries and back edges that some path from the block takes. Found by a
+    reverse walk from each counted edge's source."""
+    preds: dict[int, list[int]] = {}
+    sources: dict[tuple, list[int]] = {}
+    for e in fg.edges:
+        preds.setdefault(e.dst, []).append(e.src)
+        if e.dst in fg.loop_entries:
+            sources.setdefault(("iter", e.dst), []).append(e.src)
+        if e.label == EDGE_BACK:
+            sources.setdefault(("back", e.src, e.dst), []).append(e.src)
+    readable: dict[int, set[tuple]] = {b.id: set() for b in fg.blocks}
+    for counter, stack in sources.items():
+        while stack:
+            b = stack.pop()
+            if counter not in readable[b]:
+                readable[b].add(counter)
+                stack.extend(preds.get(b, ()))
+    return readable
+
+
 class Engine:
     def __init__(self, fg: FlowGraph, checkers: list[Checker], budget: Budget):
         self.fg = fg
@@ -291,13 +316,6 @@ class Engine:
 
     # -- expression evaluation ---------------------------------------------
 
-    def new_value(self, state: PathState, origin: str = "", init: Init = Init.INIT) -> int:
-        s = self.fresh_sym()
-        state.init[s] = init
-        if origin:
-            state.origin[s] = origin
-        return s
-
     def eval_expr(self, state: PathState, node: AstNode) -> int:
         kind = node.kind
         if kind == "Ident":
@@ -306,14 +324,14 @@ class Engine:
                 sym = state.bindings[name]
             else:
                 # global / undeclared identifier: bind lazily, assumed init
-                sym = self.new_value(state, origin="extern")
+                sym = self.fresh_sym()
                 state.bindings[name] = sym
             if self._variable_read and not name.startswith("%") and name in self.fg.symbols:
                 for c in self._variable_read:
                     c.variable_read(self, state, name, sym, node.span)
             return sym
         if kind == "Literal":
-            sym = self.new_value(state, origin="literal")
+            sym = self.fresh_sym()
             if node.literal_kind == "null":
                 state.nullc[sym] = Null.IS_NULL
                 state.konst[sym] = 0
@@ -331,16 +349,16 @@ class Engine:
                 inner = node.children[0]
                 if inner.kind == "Ident" and inner.name in state.bindings:
                     target_sym = state.bindings[inner.name]
-                    state.init[target_sym] = Init.INIT
+                    state.uninit.discard(target_sym)
                     state.resource[target_sym] = Resource.UNTRACKED
-                sym = self.new_value(state, origin="address-of")
+                sym = self.fresh_sym()
                 state.nullc[sym] = Null.NON_NULL
                 return sym
             if op in ("++", "--"):
                 base = self.eval_expr(state, node.children[0])
                 return self.derive(state, base, 1 if op == "++" else -1)
             operand = self.eval_expr(state, node.children[0])
-            sym = self.new_value(state)
+            sym = self.fresh_sym()
             if op == "-" and operand in state.konst:
                 state.konst[sym] = -state.konst[operand]
             elif op == "!" and operand in state.konst:
@@ -360,7 +378,7 @@ class Engine:
                 if rp and not lp and op == "+":
                     k = state.konst.get(l)
                     return self.derive(state, r, k)
-                sym = self.new_value(state)
+                sym = self.fresh_sym()
                 if l in state.konst and r in state.konst:
                     state.konst[sym] = (
                         state.konst[l] + state.konst[r]
@@ -371,13 +389,14 @@ class Engine:
             syms = [self.eval_expr(state, c) for c in node.children]
             if op == ",":
                 return syms[-1]
-            return self.new_value(state)
+            return self.fresh_sym()
         # SkippedRegion, or any other kind lowering leaves (calls are hoisted)
-        return self.new_value(state)
+        return self.fresh_sym()
 
     def derive(self, state: PathState, base: int, offset: int | None) -> int:
         sym = self.fresh_sym()
-        state.init[sym] = state.init.get(base, Init.INIT)
+        if base in state.uninit:
+            state.uninit.add(sym)
         state.derived[sym] = (base, offset)
         return sym
 
@@ -406,16 +425,16 @@ class Engine:
     def _transfer_assign(self, state: PathState, stmt: Assign):
         if stmt.expr is None:
             # declaration without initializer
+            # has_init also marks a static or extern local: it starts initialized
             sym = self.fresh_sym()
             decl = stmt.decl
-            uninit = decl is not None and not decl.is_param and not decl.is_array
-            state.init[sym] = Init.UNINIT if uninit else Init.INIT
-            state.origin[sym] = "decl"
+            if decl is not None and not (decl.is_param or decl.is_array or decl.has_init):
+                state.uninit.add(sym)
             state.bindings[stmt.target] = sym
             return
         sym = self.eval_expr(state, stmt.expr)
         state.bindings[stmt.target] = sym
-        state.init[sym] = Init.INIT
+        state.uninit.discard(sym)
 
     def _transfer_call(self, state: PathState, stmt: CallStmt):
         callee = stmt.callee or "<indirect>"
@@ -425,7 +444,8 @@ class Engine:
         for c in self._pre_call:
             c.pre_call(self, state, callee, arg_syms, stmt.args, stmt.span)
 
-        result = self.new_value(state, origin=callee)
+        result = self.fresh_sym()
+        state.origin[result] = callee
         if callee in HEAP_ALLOCATORS:
             state.resource[result] = Resource.HEAP
             state.nullc[result] = Null.UNKNOWN
@@ -493,8 +513,7 @@ class Engine:
         max_paths = self.budget.max_paths
         state0 = PathState()
         for var in self.fg.params:
-            sym = self.new_value(state0, origin="param")
-            state0.bindings[var] = sym
+            state0.bindings[var] = self.fresh_sym()
 
         blocks = {b.id: b for b in self.fg.blocks}
         branch_edges = {}  # CondBranch block -> (true edge, false edge)
@@ -508,8 +527,8 @@ class Engine:
         incoming: dict[int, int] = {}
         for e in self.fg.edges:
             incoming[e.dst] = incoming.get(e.dst, 0) + 1
-        live = live_in(self.fg)
-        joins = {b: live[b] for b, n in incoming.items() if n >= 2}
+        live, counters = live_in(self.fg), readable_counters(self.fg)
+        joins = {b: (live[b], counters[b]) for b, n in incoming.items() if n >= 2}
         # Paths under each finished join-block subtree, by (block, counters, state key).
         memo: dict[tuple, int] = {}
 
@@ -523,12 +542,14 @@ class Engine:
             if report.paths_explored >= max_paths:
                 report.exhausted = True
                 break
-            live_here = joins.get(block_id)
-            if live_here is not None:
+            join = joins.get(block_id)
+            if join is not None:
+                live_here, readable = join
                 bindings = state.bindings  # dead names go before the key
                 for name in [n for n in bindings if n not in live_here]:
                     del bindings[name]
-                key = (block_id, tuple(sorted(backcounts.items())), state_key(state))
+                counts = frozenset([c for c in backcounts.items() if c[0] in readable])
+                key = (block_id, counts, state_key(state))
                 n = memo.get(key)
                 if n is not None:
                     # Its findings are already reported; only its paths remain.
@@ -554,7 +575,8 @@ class Engine:
                 self.eval_expr(state, term.expr)  # reads fire once per visit
                 children = []
                 for taken, edge in zip((True, False), branch_edges[block_id]):
-                    st = self.assume(state.clone(), term.expr, taken)
+                    # the false arm, assumed last, takes the parent state
+                    st = self.assume(state.clone() if taken else state, term.expr, taken)
                     if st is None:
                         continue
                     for c in self._branch_assumed:

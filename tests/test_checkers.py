@@ -272,3 +272,23 @@ def test_switch_scrutinee_is_evaluated_once(name):
     src, expected = SWITCH_SCRUTINEES[name]
     findings = analyze_source(src, "t.c", all_checker_ids()).findings
     assert [(f.checker, f.line, f.col) for f in findings] == expected
+
+
+@pytest.mark.parametrize("storage", ["", "static ", "extern ", "register "])
+def test_static_and_extern_locals_start_initialized(storage):
+    # static storage starts zeroed (C11 6.7.9p10); extern storage is set elsewhere
+    src = f"int f(void){{ {storage}char *p; return p[0]; }}"
+    findings = analyze_source(src.encode(), "t.c", all_checker_ids()).findings
+    expected = [] if storage in ("static ", "extern ") else [("uninitialized-variable", 1, src.index("p[0]") + 1)]
+    assert [(f.checker, f.line, f.col) for f in findings] == expected
+
+
+def test_declarator_after_a_tag_body_is_declared():
+    # `d` is declared by the statement that also defines `struct opts`
+    with_body = b"int f(void){ struct opts { int v; } d; return d.v; }"
+    without = b"int f(void){ struct opts d; return d.v; }"
+    found = [
+        [(f.checker, f.message) for f in analyze_source(src, "t.c", all_checker_ids()).findings]
+        for src in (with_body, without)
+    ]
+    assert found[0] == found[1] == [("uninitialized-variable", "variable 'd' may be read before it is initialized")]

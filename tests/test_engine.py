@@ -10,7 +10,7 @@ from wasmsmell import analyze_source
 from wasmsmell.cfg import build_cfg
 from wasmsmell.cparser import parse_source
 from wasmsmell import engine
-from wasmsmell.engine import Budget, Init, Null, PathState, Resource, analyze_function, state_key
+from wasmsmell.engine import Budget, Null, PathState, Resource, analyze_function, state_key
 from wasmsmell.checkers import all_checker_ids, make_flow_checkers, default_checker_ids
 
 
@@ -304,7 +304,6 @@ def test_state_key_covers_every_path_state_field():
     def base() -> PathState:
         st = PathState()
         st.bindings = {"p": 1, "q": 2}
-        st.init = {1: Init.INIT, 2: Init.INIT, 3: Init.INIT}
         st.derived = {2: (3, 4)}
         return st
 
@@ -312,7 +311,7 @@ def test_state_key_covers_every_path_state_field():
     changes = {
         "bindings": lambda st: st.bindings.update(r=1),
         "resource": lambda st: st.resource.update({3: Resource.FREED}),
-        "init": lambda st: st.init.update({3: Init.UNINIT}),
+        "uninit": lambda st: st.uninit.add(3),
         "nullc": lambda st: st.nullc.update({1: Null.NON_NULL}),
         "konst": lambda st: st.konst.update({3: 0}),
         "origin": lambda st: st.origin.update({1: "fopen"}),
@@ -328,9 +327,9 @@ def test_state_key_covers_every_path_state_field():
 
 
 def test_state_key_ignores_symbol_numbers_and_dead_symbols():
-    a = PathState(bindings={"x": 5, "y": 9}, init={5: Init.INIT, 9: Init.UNINIT, 7: Init.INIT})
-    b = PathState(bindings={"y": 2, "x": 1}, init={1: Init.INIT, 2: Init.UNINIT})
-    b.resource[4] = Resource.FREED  # unreachable from the bindings
+    a = PathState(bindings={"x": 5, "y": 9}, uninit={9, 7})
+    b = PathState(bindings={"y": 2, "x": 1}, uninit={2})
+    b.resource[4] = Resource.FREED  # symbols 7 and 4 are unreachable from the bindings
     assert state_key(a) == state_key(b)
 
 
@@ -351,9 +350,30 @@ def test_call_bodied_if_chain_merges_at_every_join(monkeypatch):
     assert calls <= 2 * 12 + 2  # 8,190 when each use(a) temporary stays bound
 
 
+def test_loops_in_sequence_merge_after_each_loop(monkeypatch):
+    ifs = "".join(f"    if (a > {k}) {{ use(a); }}\n" for k in range(3))
+    loop = "    for (i = 0; i < n; i++) { use(i); }\n" + ifs
+    src = f"int f(int a, int n) {{\n    int i;\n{loop * 4}    return 0;\n}}\n"
+    calls = 0
+    key = engine.state_key
+
+    def counting_key(state):
+        nonlocal calls
+        calls += 1
+        return key(state)
+
+    monkeypatch.setattr(engine, "state_key", counting_key)
+    _, report = run(src, budget=Budget(max_paths=10**6))
+    assert report.paths_explored == (3 * 2**3) ** 4
+    # Per loop: its header under 3 counter sets, the first if's join after
+    # each of the 3 exits, 2 for each other if. 840 while every finished
+    # loop's counters stay in the key.
+    assert calls <= 4 * (3 + 3 * 2 + 2 * 2)
+
+
 def random_function(rng: random.Random) -> str:
-    """A small function of if/else, loops, calls (some through a callee
-    expression), free/malloc and block locals."""
+    """A small function of if/else, loops (some in sequence), calls (some
+    through a callee expression), free/malloc and block locals."""
     budget = [6]  # branching statements left
 
     def cond():
@@ -365,10 +385,10 @@ def random_function(rng: random.Random) -> str:
     def stmt(depth):
         kinds = ["call", "free", "malloc", "assign", "local", "alias", "address", "indirect"]
         if depth < 3 and budget[0] > 0:
-            kinds += ["if", "ifelse", "loop", "block"] * 3
+            kinds += ["if", "ifelse", "loop", "block"] * 3 + ["fors"]
         kind = rng.choice(kinds)
-        if kind in ("if", "ifelse", "loop"):
-            budget[0] -= 1
+        if kind in ("if", "ifelse", "loop", "fors"):
+            budget[0] -= 1 + (kind == "fors")
         ptr = rng.choice(["p", "q"])
         if kind == "call":
             return f"use({var()});"
@@ -392,6 +412,8 @@ def random_function(rng: random.Random) -> str:
             return f"if ({cond()}) {{ {stmts(depth + 1)} }} else {{ {stmts(depth + 1)} }}"
         if kind == "loop":
             return f"while (n > {rng.randint(0, 2)}) {{ {stmts(depth + 1)} n = n - 1; }}"
+        if kind == "fors":  # loops in sequence: each one's counters are dead after it
+            return " ".join(f"for (int i = 0; i < {var()}; i++) {{ {stmt(3)} }} {stmt(3)}" for _ in range(2))
         return f"{{ char *r = (char *)malloc(4); {stmts(depth + 1)} free(r); }}"
 
     def stmts(depth):

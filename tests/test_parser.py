@@ -250,6 +250,10 @@ def test_multi_declarator_is_a_decl_list():
     ("int f(int cb(int)) { return cb(0); }", "cb", 0, False, True),
     # a local prototype declares no variable
     ("int f(void) { int g(int); return g(1); }", "g", None, None, None),
+    # declarators after a struct/union body
+    ("static struct opts { int v; } defaults = { 1 };", "defaults", 0, False, False),
+    ("struct opts { int v; } *first, table[4];", "table", 0, True, False),
+    ("int f(void) { union { int i; char c; } u, *pu; return 0; }", "pu", 1, False, False),
 ])
 def test_parenthesized_declarator(src, name, ptr, is_array, is_param):
     res = parse_source(src)
