@@ -1,7 +1,8 @@
 """Tolerant one-pass lexer for C/C++ source text.
 
-Never fails: ``_TOKEN_RE`` matches at every position of any text. A run
-of characters that start no C token is matched once, and each of its
+Never fails: ``_SCAN_RE`` matches at every position of any text, once
+per token, skipping the whitespace and comments before it. A run of
+characters that start no C token is matched once, and each of its
 characters becomes a one-character punctuator with an "unexpected byte"
 diagnostic. Token spans always index into the original input text. The
 same scan drops whitespace, comments and preprocessor directive lines,
@@ -61,11 +62,8 @@ class Diagnostic(NamedTuple):
     severity: str = "recovered"
 
 
-# Constructors that skip the Python-level __new__ of the NamedTuples; each
-# takes one tuple of all the fields.
+# A Span from one tuple of its fields, skipping the Python-level __new__.
 _new_span = partial(tuple.__new__, Span)
-_new_token = partial(tuple.__new__, Token)
-_new_diag = partial(tuple.__new__, Diagnostic)
 
 
 @dataclass
@@ -80,21 +78,37 @@ _PUNCTS = [
     "!=", "&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "::",
 ]
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>/\*.*?\*/|//[^\n]*)
-  | (?P<unclosed>/\*.*)                                # comment to end of input
-  | (?P<wstring>L"(?:\\.?|[^"\\\n])*(?:"|(?=\n)|$))
-  | (?P<string>"(?:\\.?|[^"\\\n])*(?:"|(?=\n)|$))
-  | (?P<char>L?'(?:\\.?|[^'\\\n])*(?:'|(?=\n)|$))
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<num>(?:0[xX][0-9a-fA-F]+|\.?[0-9][0-9a-zA-Z_.]*(?:[eEpP][+-][0-9]+)?))
-  | (?P<punct>%s|[-+*/%%=<>!&|^~?:;,.()\[\]{}#\\])
-  | (?P<junk>[^\s"'A-Za-z0-9_\-+*/%%=<>!&|^~?:;,.()\[\]{}#\\]+)  # starts no other token
-    """
-    % "|".join(re.escape(p) for p in _PUNCTS),
-    re.VERBOSE | re.DOTALL,
+# Every rule of the scan, in the order the alternatives are tried. The
+# first two match what the scan skips; each of the others starts a token.
+_RULES = {
+    "ws": r"\s+",
+    "comment": r"/\*.*?\*/|//[^\n]*",
+    "unclosed": r"/\*.*",  # comment to end of input
+    "wstring": r'L"(?:\\.?|[^"\\\n])*(?:"|(?=\n)|$)',
+    "string": r'"(?:\\.?|[^"\\\n])*(?:"|(?=\n)|$)',
+    "char": r"L?'(?:\\.?|[^'\\\n])*(?:'|(?=\n)|$)",
+    "ident": r"[A-Za-z_][A-Za-z0-9_]*",
+    "num": r"(?:0[xX][0-9a-fA-F]+|\.?[0-9][0-9a-zA-Z_.]*(?:[eEpP][+-][0-9]+)?)",
+    "punct": "|".join(re.escape(p) for p in _PUNCTS) + r"|[-+*/%=<>!&|^~?:;,.()\[\]{}#\\]",
+    "junk": r"""[^\s"'A-Za-z0-9_\-+*/%=<>!&|^~?:;,.()\[\]{}#\\]+""",  # starts no other token
+}
+
+
+def _alternatives(names) -> str:
+    return "|".join(f"(?P<{name}>{_RULES[name]})" for name in names)
+
+
+# One whitespace run, comment or token per match; used on directive lines.
+_TOKEN_RE = re.compile(_alternatives(_RULES), re.DOTALL)
+# The scan's pattern: the whitespace and closed comments before a token,
+# then the token. Only when just those are left does it match up to the
+# end of the input, with no group set. The skipped prefix cannot end in
+# more than one way, and the token part matches at any other position,
+# so a match never backtracks into the prefix.
+_SCAN_RE = re.compile(
+    r"\s*(?:(?:%s)\s*)*(?:%s|\Z)"
+    % (_RULES["comment"], _alternatives([name for name in _RULES if name not in ("ws", "comment")])),
+    re.DOTALL,
 )
 
 _LITERALS = {  # group: token kind, quote, diagnostic when unterminated
@@ -157,67 +171,88 @@ def lex(source) -> tuple[list[Token], list[Diagnostic]]:
 def scan(source) -> tuple[list[Token], list[Diagnostic], list[IncludeRef]]:
     """``lex`` plus the ``#include`` targets of the directive lines.
 
-    One ``_TOKEN_RE`` match per token, which matches at every position.
-    A run of unlexable characters is one match, and gives one punctuator
-    and one "unexpected byte" diagnostic per character. A line is a
-    directive when its first token, after spaces and comments, is ``#``.
-    Its tokens are dropped and raise no diagnostic; an unterminated
-    comment that starts on it still does.
+    One ``_SCAN_RE`` match per token, which also skips the whitespace and
+    closed comments before it. A run of unlexable characters is one
+    match, and gives one punctuator and one "unexpected byte" diagnostic
+    per character. A line is a directive when its first token, after
+    spaces and comments, is ``#``. Its tokens are dropped and raise no
+    diagnostic; an unterminated comment that starts on it still does.
     """
     text = decode_source(source)
     index = _LineIndex(text)
     starts = index.starts
+    n = len(text)
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
     includes: list[IncludeRef] = []
     add_token = tokens.append
     add_diag = diags.append
-    match = _TOKEN_RE.match
+    match = _SCAN_RE.match
+    new = tuple.__new__
+    unexpected: dict[str, str] = {}  # character -> its diagnostic message
+    line, line_start = 1, 0
+    next_start = starts[1] if len(starts) > 1 else n + 1  # where the next line starts
     resumed = 0  # where the scan went on after the last directive
     pos = 0
-    n = len(text)
-    while pos < n:
+    while True:
         m = match(text, pos)
         kind = m.lastgroup
-        end = m.end()
-        if kind == "ws" or kind == "comment":
-            pos = end
-            continue
-        line = bisect_right(starts, pos)
-        line_start = starts[line - 1]
-        col = pos - line_start + 1
-        if kind == "junk":
-            # One punctuator and one diagnostic per character; the run
-            # holds no newline, so it stays on one line.
-            for ch in text[pos:end]:
-                span = _new_span((pos, line, col, 1))
-                add_token(_new_token((KIND_PUNCT, ch, span)))
-                add_diag(_new_diag((span, f"unexpected byte {ch!r}", "recovered")))
-                pos += 1
-                col += 1
-            continue
-        span = _new_span((pos, line, col, end - pos))
-        if kind == "unclosed":
-            add_diag(_new_diag((span, "unterminated comment", "recovered")))
-            pos = end
-            continue
-        lexeme = m.group()
+        if kind is None:  # only whitespace and comments were left
+            break
+        start, pos = m.span(kind)
+        if start >= next_start:
+            line = bisect_right(starts, start)
+            line_start = starts[line - 1]
+            next_start = starts[line] if line < len(starts) else n + 1
+        lexeme = text[start:pos]
         if kind == "ident":
-            tk = KIND_KEYWORD if lexeme in KEYWORDS else KIND_IDENT
+            span = new(Span, (start, line, start - line_start + 1, pos - start))
+            add_token(new(Token, (KIND_KEYWORD if lexeme in KEYWORDS else KIND_IDENT, lexeme, span)))
         elif kind == "punct":
             if lexeme == "#" and (not tokens or tokens[-1].span.end <= line_start):
-                gap = max(tokens[-1].span.end if tokens else 0, resumed)
-                pos = resumed = _directive(text, gap, pos, index, diags, includes)
+                # A directive ends at its line's end unless a comment or a
+                # backslash there carries it on. A literal crosses the line
+                # end only after such a backslash, and a comment that ends
+                # on this line leaves its "*/" here.
+                eol = text.find("\n", start)
+                if eol == -1:
+                    eol = n
+                body = text[line_start:eol]
+                if "/*" in body or "*/" in body or "//" in body or body.rstrip().endswith("\\"):
+                    gap = max(tokens[-1].span.end if tokens else 0, resumed)
+                    pos = _directive(text, gap, start, index, diags, includes)
+                else:
+                    include = _INCLUDE_RE.match(body)
+                    if include:
+                        includes.append(IncludeRef(include.group(1) or include.group(2), line))
+                    pos = eol
+                resumed = pos
                 continue
-            tk = KIND_PUNCT
+            add_token(new(Token, (KIND_PUNCT, lexeme, new(Span, (start, line, start - line_start + 1, pos - start)))))
         elif kind == "num":
-            tk = KIND_INT
+            add_token(new(Token, (KIND_INT, lexeme, new(Span, (start, line, start - line_start + 1, pos - start)))))
+        elif kind == "junk":
+            # One punctuator and one diagnostic per character; the run
+            # holds no newline, so it stays on one line.
+            col = start - line_start + 1
+            for ch in lexeme:
+                span = new(Span, (start, line, col, 1))
+                add_token(new(Token, (KIND_PUNCT, ch, span)))
+                message = unexpected.get(ch)
+                if message is None:
+                    message = unexpected[ch] = f"unexpected byte {ch!r}"
+                add_diag(new(Diagnostic, (span, message, "recovered")))
+                start += 1
+                col += 1
+        elif kind == "unclosed":
+            span = new(Span, (start, line, start - line_start + 1, pos - start))
+            add_diag(new(Diagnostic, (span, "unterminated comment", "recovered")))
         else:
+            span = new(Span, (start, line, start - line_start + 1, pos - start))
             tk, quote, message = _LITERALS[kind]
             if not _closed(lexeme, quote):
-                add_diag(_new_diag((span, message, "recovered")))
-        add_token(_new_token((tk, lexeme, span)))
-        pos = end
+                add_diag(new(Diagnostic, (span, message, "recovered")))
+            add_token(new(Token, (tk, lexeme, span)))
     return tokens, diags, includes
 
 
