@@ -845,7 +845,7 @@ class Parser:
             start = self.pos
             self.skip_balanced("{", "}")
             return AstNode("Literal", self.span_from(start), value="{...}", literal_kind=KIND_INT)
-        raise _ParseError(f"unexpected token {t.lexeme!r}")
+        raise _ParseError(f"unexpected token {ascii(t.lexeme)}")
 
 
 def parse_tokens(tokens: list[Token]) -> tuple[AstNode, list[Diagnostic]]:

@@ -240,7 +240,7 @@ def scan(source) -> tuple[list[Token], list[Diagnostic], list[IncludeRef]]:
                 add_token(new(Token, (KIND_PUNCT, ch, span)))
                 message = unexpected.get(ch)
                 if message is None:
-                    message = unexpected[ch] = f"unexpected byte {ch!r}"
+                    message = unexpected[ch] = f"unexpected byte {ascii(ch)}"
                 add_diag(new(Diagnostic, (span, message, "recovered")))
                 start += 1
                 col += 1

@@ -1,9 +1,11 @@
 """Pins what the frontend (parse_source) gives on a fixed set of inputs.
 
 The digest covers the tokens, the diagnostics sorted by (offset, message),
-the includes and repr(unit) for the first 1,000 criterion-5 fuzz inputs and
+the includes and the unit for the first 1,000 criterion-5 fuzz inputs and
 every fixture source file. Diagnostics are sorted because their order is not
-part of the contract. To rewrite the pinned file after an intended change:
+part of the contract. Each part is hashed as its ascii(): repr() prints a
+non-ASCII character raw or escaped by the interpreter's Unicode database,
+so it differs between Python versions. To rewrite the pinned file after an intended change:
 
     PYTHONPATH=src python tests/test_frontend_digest.py
 """
@@ -35,7 +37,7 @@ def frontend_digest() -> str:
         result = parse_source(data)
         diags = sorted(result.diagnostics, key=lambda d: (d.span.offset, d.message))
         for part in (result.tokens, diags, result.includes, result.unit):
-            h.update(repr(part).encode())
+            h.update(ascii(part).encode())
             h.update(b"\0")
     return h.hexdigest()
 

@@ -218,7 +218,7 @@ def reference_scan(text):
         if m is None or m.lastgroup == "junk":
             span = index.span(pos, 1)
             tokens.append(Token(KIND_PUNCT, text[pos], span))
-            diags.append(Diagnostic(span, f"unexpected byte {text[pos]!r}"))
+            diags.append(Diagnostic(span, f"unexpected byte {ascii(text[pos])}"))
             pos += 1
             continue
         kind, lexeme = m.lastgroup, m.group()
