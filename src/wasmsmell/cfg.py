@@ -119,14 +119,21 @@ class FlowGraph:
     params: list[str]
     loop_entries: dict[int, int] = field(default_factory=dict)  # body block -> header
     _succ: dict[int, list[Edge]] = field(init=False, repr=False, compare=False)
+    _pred: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._succ = {}
+        self._pred = {}
         for e in self.edges:
             self._succ.setdefault(e.src, []).append(e)
+            self._pred.setdefault(e.dst, []).append(e.src)
 
     def successors(self, block_id: int) -> list[Edge]:
         return self._succ.get(block_id, [])
+
+    def predecessors(self, block_id: int) -> list[int]:
+        """The source block of each edge into `block_id`, once per edge."""
+        return self._pred.get(block_id, [])
 
 
 class _Lowerer:

@@ -198,9 +198,6 @@ def live_in(fg: FlowGraph) -> dict[int, set[str]]:
     """
     gen: dict[int, set[str]] = {}
     kill: dict[int, set[str]] = {}
-    preds: dict[int, list[int]] = {}
-    for e in fg.edges:
-        preds.setdefault(e.dst, []).append(e.src)
     for blk in fg.blocks:
         live: set[str] = set()
         writes: set[str] = set()
@@ -229,7 +226,7 @@ def live_in(fg: FlowGraph) -> dict[int, set[str]]:
             live.update(result[e.dst] - kill[b])
         if live != result[b]:
             result[b] = live
-            work.extend(preds.get(b, ()))
+            work.extend(fg.predecessors(b))
     return result
 
 
@@ -237,10 +234,8 @@ def readable_counters(fg: FlowGraph) -> dict[int, set[tuple]]:
     """The loop counters each block can still read: those of the loop
     entries and back edges that some path from the block takes. Found by a
     reverse walk from each counted edge's source."""
-    preds: dict[int, list[int]] = {}
     sources: dict[tuple, list[int]] = {}
     for e in fg.edges:
-        preds.setdefault(e.dst, []).append(e.src)
         if e.dst in fg.loop_entries:
             sources.setdefault(("iter", e.dst), []).append(e.src)
         if e.label == EDGE_BACK:
@@ -251,7 +246,7 @@ def readable_counters(fg: FlowGraph) -> dict[int, set[tuple]]:
             b = stack.pop()
             if counter not in readable[b]:
                 readable[b].add(counter)
-                stack.extend(preds.get(b, ()))
+                stack.extend(fg.predecessors(b))
     return readable
 
 
@@ -433,8 +428,17 @@ class Engine:
             state.bindings[stmt.target] = sym
             return
         sym = self.eval_expr(state, stmt.expr)
+        if sym in state.uninit:
+            # `b = a` with `a` uninitialized: `b` gets an initialized copy
+            # of the symbol, and `a` stays uninitialized.
+            copy = self.fresh_sym()
+            for facts in (state.resource, state.nullc, state.konst, state.origin, state.derived):
+                if sym in facts:
+                    facts[copy] = facts[sym]
+            if sym in state.fd_int:
+                state.fd_int.add(copy)
+            sym = copy
         state.bindings[stmt.target] = sym
-        state.uninit.discard(sym)
 
     def _transfer_call(self, state: PathState, stmt: CallStmt):
         callee = stmt.callee or "<indirect>"
@@ -524,11 +528,8 @@ class Engine:
                     next(e for e in succs if e.label == EDGE_TRUE),
                     next(e for e in succs if e.label == EDGE_FALSE),
                 )
-        incoming: dict[int, int] = {}
-        for e in self.fg.edges:
-            incoming[e.dst] = incoming.get(e.dst, 0) + 1
         live, counters = live_in(self.fg), readable_counters(self.fg)
-        joins = {b: (live[b], counters[b]) for b, n in incoming.items() if n >= 2}
+        joins = {b: (live[b], counters[b]) for b in blocks if len(self.fg.predecessors(b)) >= 2}
         # Paths under each finished join-block subtree, by (block, counters, state key).
         memo: dict[tuple, int] = {}
 

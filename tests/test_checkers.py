@@ -292,3 +292,14 @@ def test_declarator_after_a_tag_body_is_declared():
         for src in (with_body, without)
     ]
     assert found[0] == found[1] == [("uninitialized-variable", "variable 'd' may be read before it is initialized")]
+
+
+@pytest.mark.parametrize("ret, reads", [
+    ("a", ["int b = a", "return a"]),  # the copy leaves `a` uninitialized
+    ("b", ["int b = a"]),  # `b` holds a value, though an indeterminate one
+])
+def test_a_copy_leaves_its_source_uninitialized(ret, reads):
+    src = f"int f(void){{ int a; int b = a; return {ret}; }}"
+    findings = analyze_source(src.encode(), "t.c", all_checker_ids()).findings
+    expected = [("uninitialized-variable", 1, src.index(r) + len(r)) for r in reads]
+    assert [(f.checker, f.line, f.col) for f in findings] == expected
