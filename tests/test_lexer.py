@@ -250,6 +250,9 @@ _JUNK_ATOMS = [
     "\ufffd", "\ufffd\ufffd", "\x00", "\x01", "\x1b", "\x7f", "@", "$", "`", "\u00e9",
     '"', "'", "L", "\\", "#", "/", "*", "/*", "*/", "//", "\n", "\\\n", " ", "\x0c",
     "a", "1", ";", "{", "}", "include", "<x.h>", '"y.h"',
+    # directive lines: CRLF, tabs, a backslash before trailing space or CR,
+    # a comment before '#', quotes and a slash on the line
+    "\r\n", "\t#\tinclude <a.h>", "#\\ \n", "#\\\r\n", "/* c */#", "# q \"s\" 'c'", "#include <sys/t.h>",
 ]
 
 
@@ -257,3 +260,32 @@ _JUNK_ATOMS = [
 @given(st.lists(st.sampled_from(_JUNK_ATOMS), max_size=80).map("".join))
 def test_scan_equals_the_reference_loop(text):
     assert scan(text) == reference_scan(text)
+
+
+# Directive lines the scan reads with one include match, and the shapes
+# next to them that _directive still takes: a comment or a line-ending
+# backslash on the line, or a '#' that is not the line's first token.
+@pytest.mark.parametrize("text, includes", [
+    ("#include <a.h>\nint x;", ["a.h"]),
+    ("\t#\tinclude <a.h>\r\nint x;", ["a.h"]),
+    ('#include "b.h"\nint x;', ["b.h"]),
+    ("#include <sys/stat.h>\nint x;", ["sys/stat.h"]),
+    ("#include <a.h>", ["a.h"]),
+    ("#define Q 'q' \"s\"\nint x;", []),
+    ("int y;\n  #  include <a.h>  \n#\nint x;", ["a.h"]),
+    ("int y; #include <a.h>\nint x;", []),
+    ("# define A 1 \\ \nint y;\nint x;", []),
+    ("#define A 1\\\r\nint y;\nint x;", []),
+    ('#define S "a\\\n#include <b.h>"\nint x;', ["b.h"]),
+    ("/* c */ #include <a.h>\nint x;", ["a.h"]),
+    ("/* a\n */ #include <a.h>\nint x;", ["a.h"]),
+    ("x = 1; /* c */\n#include <a.h>\nint x;", ["a.h"]),
+    ("#include <a.h> // c \\\nint x;", ["a.h"]),
+    ("#include <a.h> /* c\n */ int x;", ["a.h"]),
+    ("#include <a.h> /* c", ["a.h"]),
+    ("#include <a*/b.h>\nint x;", ["a*/b.h"]),
+    ("#include <a//b.h>\nint x;", []),  # the comment blanks "//b.h>"
+])
+def test_directive_lines_equal_the_reference_loop(text, includes):
+    assert scan(text) == reference_scan(text)
+    assert [inc.target for inc in scan(text)[2]] == includes
