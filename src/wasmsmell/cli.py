@@ -9,7 +9,6 @@ to stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import tempfile
@@ -45,11 +44,7 @@ def _comma_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process: ``main`` only
-    calls ``parse_args`` on it, which leaves it unchanged, so a driver
-    that calls ``main`` many times does not rebuild it each time."""
     parser = argparse.ArgumentParser(
         prog="wasmsmell",
         description="Detect WebAssembly compilation smells and curate Wasm project data.",
@@ -60,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="source file or project directory")
     p.add_argument("--checkers", type=_comma_list, metavar="IDS",
                    help="comma-separated checker ids to enable (default: all core checkers)")
-    p.add_argument("--no-checkers", type=_comma_list, metavar="IDS", default=(),
+    p.add_argument("--no-checkers", type=_comma_list, metavar="IDS", default=[],
                    help="checker ids to disable")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", help="write output to this file instead of stdout")
