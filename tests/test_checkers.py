@@ -303,3 +303,17 @@ def test_a_copy_leaves_its_source_uninitialized(ret, reads):
     findings = analyze_source(src.encode(), "t.c", all_checker_ids()).findings
     expected = [("uninitialized-variable", 1, src.index(r) + len(r)) for r in reads]
     assert [(f.checker, f.line, f.col) for f in findings] == expected
+
+
+@pytest.mark.parametrize("decl, expected", [
+    # `p` holds no block, so neither free frees one twice: both reads of
+    # `p` are reads of an uninitialized variable, and `q` is a copy of an
+    # indeterminate value, not an alias whose free marks `p` freed.
+    ("char *p;", [("uninitialized-variable", "= p", 2), ("uninitialized-variable", "free(p)", 5)]),
+    # a copy of an initialized pointer stays its alias
+    ("char *p = (char *)malloc(4);", [("double-free", "free(p)", 0)]),
+])
+def test_a_copy_of_an_uninitialized_pointer_is_no_alias(decl, expected):
+    src = f"int f(void){{ {decl} char *q = p; free(q); free(p); return 0; }}"
+    findings = analyze_source(src.encode(), "t.c", all_checker_ids()).findings
+    assert [(f.checker, f.col) for f in findings] == [(c, src.index(at) + k + 1) for c, at, k in expected]
