@@ -189,6 +189,7 @@ def scan(source) -> tuple[list[Token], list[Diagnostic], list[IncludeRef]]:
     add_diag = diags.append
     match = _SCAN_RE.match
     new = tuple.__new__
+    unexpected: dict[str, str] = {}  # character -> its diagnostic message
     line, line_start = 1, 0
     next_start = starts[1] if len(starts) > 1 else n + 1  # where the next line starts
     resumed = 0  # where the scan went on after the last directive
@@ -204,9 +205,8 @@ def scan(source) -> tuple[list[Token], list[Diagnostic], list[IncludeRef]]:
             line_start = starts[line - 1]
             next_start = starts[line] if line < len(starts) else n + 1
         lexeme = text[start:pos]
-        col = start - line_start + 1
-        span = new(Span, (start, line, col, pos - start))
         if kind == "ident":
+            span = new(Span, (start, line, start - line_start + 1, pos - start))
             add_token(new(Token, (KIND_KEYWORD if lexeme in KEYWORDS else KIND_IDENT, lexeme, span)))
         elif kind == "punct":
             if lexeme == "#" and (not tokens or tokens[-1].span.end <= line_start):
@@ -228,21 +228,27 @@ def scan(source) -> tuple[list[Token], list[Diagnostic], list[IncludeRef]]:
                     pos = eol
                 resumed = pos
                 continue
-            add_token(new(Token, (KIND_PUNCT, lexeme, span)))
+            add_token(new(Token, (KIND_PUNCT, lexeme, new(Span, (start, line, start - line_start + 1, pos - start)))))
         elif kind == "num":
-            add_token(new(Token, (KIND_INT, lexeme, span)))
+            add_token(new(Token, (KIND_INT, lexeme, new(Span, (start, line, start - line_start + 1, pos - start)))))
         elif kind == "junk":
             # One punctuator and one diagnostic per character; the run
             # holds no newline, so it stays on one line.
+            col = start - line_start + 1
             for ch in lexeme:
                 span = new(Span, (start, line, col, 1))
                 add_token(new(Token, (KIND_PUNCT, ch, span)))
-                add_diag(new(Diagnostic, (span, f"unexpected byte {ascii(ch)}", "recovered")))
+                message = unexpected.get(ch)
+                if message is None:
+                    message = unexpected[ch] = f"unexpected byte {ascii(ch)}"
+                add_diag(new(Diagnostic, (span, message, "recovered")))
                 start += 1
                 col += 1
         elif kind == "unclosed":
+            span = new(Span, (start, line, start - line_start + 1, pos - start))
             add_diag(new(Diagnostic, (span, "unterminated comment", "recovered")))
         else:
+            span = new(Span, (start, line, start - line_start + 1, pos - start))
             tk, quote, message = _LITERALS[kind]
             if not _closed(lexeme, quote):
                 add_diag(new(Diagnostic, (span, message, "recovered")))
