@@ -71,7 +71,7 @@ def validate_checker_ids(ids) -> list[str]:
 class DoubleFreeChecker(Checker):
     id = "double-free"
 
-    def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
+    def pre_call(self, ctx, state, callee, arg_syms, span):
         if callee == "free" and arg_syms:
             if state.resource.get(arg_syms[0]) is Resource.FREED:
                 ctx.report(self, span, "free() called on memory that was already freed")
@@ -80,7 +80,7 @@ class DoubleFreeChecker(Checker):
 class DoubleFcloseChecker(Checker):
     id = "double-fclose"
 
-    def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
+    def pre_call(self, ctx, state, callee, arg_syms, span):
         if callee == "fclose" and arg_syms:
             if state.resource.get(arg_syms[0]) is Resource.FILE_CLOSED:
                 ctx.report(self, span, "fclose() called on a stream that was already closed")
@@ -89,7 +89,7 @@ class DoubleFcloseChecker(Checker):
 class ErrorWithoutActionChecker(Checker):
     id = "error-without-action"
 
-    def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
+    def pre_call(self, ctx, state, callee, arg_syms, span):
         if callee != "fclose" or not arg_syms:
             return
         sym = arg_syms[0]
@@ -105,7 +105,7 @@ class ErrorWithoutActionChecker(Checker):
 class ImproperResourceShutdownChecker(Checker):
     id = "improper-resource-shutdown"
 
-    def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
+    def pre_call(self, ctx, state, callee, arg_syms, span):
         if callee == "fclose" and arg_syms and arg_syms[0] in state.fd_int:
             ctx.report(
                 self,
@@ -129,7 +129,7 @@ class UninitializedVariableChecker(Checker):
 class BadFputsComparisonChecker(Checker):
     id = "bad-fputs-comparison"
 
-    def branch_assumed(self, ctx, state, expr, taken, span):
+    def branch_assumed(self, ctx, state, expr, span):
         if expr.kind != "Binary" or expr.value not in ("==", "!="):
             return
         lhs, rhs = expr.children[0], expr.children[1]
@@ -150,7 +150,7 @@ class BadFputsComparisonChecker(Checker):
 class WideStringChecker(Checker):
     id = "wide-string"
 
-    def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
+    def pre_call(self, ctx, state, callee, arg_syms, span):
         if callee == "wprintf" and "fwide-called" not in state.flags:
             ctx.report(self, span, "wprintf() called without a preceding fwide() on this path")
 
@@ -158,7 +158,7 @@ class WideStringChecker(Checker):
 class AllocaFreeChecker(Checker):
     id = "alloca-free"
 
-    def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
+    def pre_call(self, ctx, state, callee, arg_syms, span):
         if callee != "free" or not arg_syms:
             return
         root, _ = ctx.base_offset(state, arg_syms[0])
@@ -169,7 +169,7 @@ class AllocaFreeChecker(Checker):
 class OffsetFreeChecker(Checker):
     id = "offset-free"
 
-    def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
+    def pre_call(self, ctx, state, callee, arg_syms, span):
         if callee != "free" or not arg_syms:
             return
         root, offset = ctx.base_offset(state, arg_syms[0])

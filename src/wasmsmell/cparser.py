@@ -15,7 +15,6 @@ from .lexer import (
     KIND_IDENT,
     KIND_INT,
     KIND_KEYWORD,
-    KIND_PUNCT,
     KIND_STRING,
     KIND_WSTRING,
     Diagnostic,

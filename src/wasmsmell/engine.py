@@ -8,29 +8,39 @@ only to the checkers that override it. They inspect the path state and
 report findings; the engine owns all resource, initialization, and
 null-constraint transitions.
 
+Each loop has one counter, keyed by its body block's id: the number of
+edges into the body the path has taken, bounded by ``Budget.unroll``.
+One counter is enough because lowering has no jumps: ``break`` and
+``continue`` are no-ops, ``goto`` is not modelled and a ``switch`` is an
+if-chain, so a path leaves a loop body only by its back edge or a
+``return``, and the back edges taken follow from the entries. A
+``goto`` or ``do`` lowered later must count every edge that enters or
+re-enters a body some other way.
+
 At join blocks (two or more incoming edges) the walk is memoized: a
-finished subtree is recorded under (block, counters of the loops still
-reachable, ``state_key``), and a path that reaches the same key again
-adds the recorded path count instead of walking the subtree a second
-time. Its findings are already reported, since they depend only on that
-key. The memo is exact: findings, ``paths_explored`` and ``exhausted``
-equal those of a full walk at every budget, so findings stay monotone
-in ``max_paths``, and ``paths_explored`` counts the paths represented,
-not the work done. A hit that would pass the budget stops the walk at
+finished subtree is recorded under (block, live loop counters,
+``state_key``), and a path that reaches the same key again adds the
+recorded path count instead of walking the subtree a second time. Its
+findings are already reported, since they depend only on that key. The
+memo is exact: findings, ``paths_explored`` and ``exhausted`` equal
+those of a full walk at every budget, so findings stay monotone in
+``max_paths``, and ``paths_explored`` counts the paths represented, not
+the work done. A hit that would pass the budget stops the walk at
 ``max_paths`` as the full walk would have, partway through that subtree.
 
-Before the key is taken, the walk deletes every binding whose name is
-not live into the join block (``live_in``): the temporary of a hoisted
-call after its one use, or a block local after its block ends.
-``state_key`` then leaves out the symbols only those names reached. This
-keeps the memo exact: no path from the join reads a dead name before
-writing it, and every read of a symbol goes through a binding, so no
-later step can tell the two states apart. Likewise the key keeps only
-the counters of loop entries and back edges some path from the join
-can still take (``readable_counters``), and ``PathState`` holds only
-what a checker reads: ``uninit`` (a ``static`` or ``extern`` local
-starts initialized) and ``origin``, the callee that produced a call's
-result.
+One backward liveness pass (``live_in``) decides what the key keeps. A
+loop counter is a name read on every edge into its body and never
+written, so the counters live into the join are those of the loops some
+path from there can still enter. Before the key is taken, the walk
+deletes every binding whose name is not live into the join block: the
+temporary of a hoisted call after its one use, or a block local after
+its block ends. ``state_key`` then leaves out the symbols only those
+names reached. This keeps the memo exact: no path from the join reads a
+dead name or counter before writing it, and every read of a symbol goes
+through a binding, so no later step can tell the two states apart.
+``PathState`` holds only what a checker reads: ``uninit`` (a ``static``
+or ``extern`` local starts initialized) and ``origin``, the callee that
+produced a call's result.
 """
 
 from __future__ import annotations
@@ -38,16 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cfg import (
-    EDGE_BACK,
-    EDGE_FALSE,
-    EDGE_TRUE,
-    Assign,
-    CallStmt,
-    CondBranch,
-    FlowGraph,
-    ReturnStmt,
-)
+from .cfg import EDGE_FALSE, EDGE_TRUE, Assign, CallStmt, CondBranch, FlowGraph, ReturnStmt
 from .cparser import AstNode, DeclInfo
 from .lexer import Span
 from .report import Finding
@@ -121,10 +122,10 @@ class Checker:
     def __init__(self, cwe: int | None):
         self.cwe = cwe
 
-    def pre_call(self, ctx, state, callee, arg_syms, arg_exprs, span):
+    def pre_call(self, ctx, state, callee, arg_syms, span):
         pass
 
-    def branch_assumed(self, ctx, state, expr, taken, span):
+    def branch_assumed(self, ctx, state, expr, span):
         pass
 
     def variable_read(self, ctx, state, var, sym, span):
@@ -185,21 +186,23 @@ def _add_reads(node: AstNode, names: set[str]):
             stack.extend(node.children)
 
 
-def live_in(fg: FlowGraph) -> dict[int, set[str]]:
-    """The names live on entry to each block: read on some path from there
-    before they are written.
+def live_in(fg: FlowGraph) -> dict[int, set[str | int]]:
+    """The names and loop counters live on entry to each block: read on
+    some path from there before they are written.
 
     Every ``Ident`` in an ``Assign``'s expression, a ``CallStmt``'s
     callee expression or arguments, or a terminator's expression is a
     read, also one under ``&`` or in a node ``eval_expr`` does not enter,
     so the sets over-approximate.
-    An ``Assign``'s target and a ``CallStmt``'s target are writes. Back
-    edges are followed to a fixpoint.
+    An ``Assign``'s target and a ``CallStmt``'s target are writes. An
+    edge into a loop body reads that loop's counter, the body block's id,
+    in the edge's source block; nothing writes a counter. Back edges are
+    followed to a fixpoint.
     """
-    gen: dict[int, set[str]] = {}
+    gen: dict[int, set[str | int]] = {}
     kill: dict[int, set[str]] = {}
     for blk in fg.blocks:
-        live: set[str] = set()
+        live: set[str | int] = {e.dst for e in fg.successors(blk.id) if e.dst in fg.loop_entries}
         writes: set[str] = set()
         term = blk.terminator
         if term is not None and term.expr is not None:
@@ -217,7 +220,7 @@ def live_in(fg: FlowGraph) -> dict[int, set[str]]:
                 _add_reads(stmt.expr, live)
         gen[blk.id] = live
         kill[blk.id] = writes
-    result: dict[int, set[str]] = {b: set() for b in gen}
+    result: dict[int, set[str | int]] = {b: set() for b in gen}
     work = list(gen)  # the last block first
     while work:
         b = work.pop()
@@ -228,26 +231,6 @@ def live_in(fg: FlowGraph) -> dict[int, set[str]]:
             result[b] = live
             work.extend(fg.predecessors(b))
     return result
-
-
-def readable_counters(fg: FlowGraph) -> dict[int, set[tuple]]:
-    """The loop counters each block can still read: those of the loop
-    entries and back edges that some path from the block takes. Found by a
-    reverse walk from each counted edge's source."""
-    sources: dict[tuple, list[int]] = {}
-    for e in fg.edges:
-        if e.dst in fg.loop_entries:
-            sources.setdefault(("iter", e.dst), []).append(e.src)
-        if e.label == EDGE_BACK:
-            sources.setdefault(("back", e.src, e.dst), []).append(e.src)
-    readable: dict[int, set[tuple]] = {b.id: set() for b in fg.blocks}
-    for counter, stack in sources.items():
-        while stack:
-            b = stack.pop()
-            if counter not in readable[b]:
-                readable[b].add(counter)
-                stack.extend(fg.predecessors(b))
-    return readable
 
 
 class Engine:
@@ -446,7 +429,7 @@ class Engine:
             self.eval_expr(state, stmt.callee_expr)
         arg_syms = [self.eval_expr(state, a) for a in stmt.args]
         for c in self._pre_call:
-            c.pre_call(self, state, callee, arg_syms, stmt.args, stmt.span)
+            c.pre_call(self, state, callee, arg_syms, stmt.span)
 
         result = self.fresh_sym()
         state.origin[result] = callee
@@ -528,28 +511,27 @@ class Engine:
                     next(e for e in succs if e.label == EDGE_TRUE),
                     next(e for e in succs if e.label == EDGE_FALSE),
                 )
-        live, counters = live_in(self.fg), readable_counters(self.fg)
-        joins = {b: (live[b], counters[b]) for b in blocks if len(self.fg.predecessors(b)) >= 2}
+        live = live_in(self.fg)
+        joins = {b: live[b] for b in blocks if len(self.fg.predecessors(b)) >= 2}
         # Paths under each finished join-block subtree, by (block, counters, state key).
         memo: dict[tuple, int] = {}
 
         stack: list[tuple] = [(self.fg.entry, state0, {})]
         while stack:
-            block_id, state, backcounts = stack.pop()
+            block_id, state, loopcounts = stack.pop()
             if block_id is None:
                 # sentinel (None, key, paths before): that subtree is finished
-                memo[state] = report.paths_explored - backcounts
+                memo[state] = report.paths_explored - loopcounts
                 continue
             if report.paths_explored >= max_paths:
                 report.exhausted = True
                 break
-            join = joins.get(block_id)
-            if join is not None:
-                live_here, readable = join
+            live_here = joins.get(block_id)
+            if live_here is not None:
                 bindings = state.bindings  # dead names go before the key
                 for name in [n for n in bindings if n not in live_here]:
                     del bindings[name]
-                counts = frozenset([c for c in backcounts.items() if c[0] in readable])
+                counts = frozenset([c for c in loopcounts.items() if c[0] in live_here])
                 key = (block_id, counts, state_key(state))
                 n = memo.get(key)
                 if n is not None:
@@ -581,8 +563,8 @@ class Engine:
                     if st is None:
                         continue
                     for c in self._branch_assumed:
-                        c.branch_assumed(self, st, term.expr, taken, term.span)
-                    child = self._follow(edge, st, backcounts)
+                        c.branch_assumed(self, st, term.expr, term.span)
+                    child = self._follow(edge, st, loopcounts)
                     if child is not None:
                         children.append(child)
                 if not children:
@@ -591,7 +573,7 @@ class Engine:
                     stack.append(child)
             else:
                 succs = self.fg.successors(block_id)
-                child = self._follow(succs[0], state, backcounts) if succs else None
+                child = self._follow(succs[0], state, loopcounts) if succs else None
                 if child is None:
                     report.paths_explored += 1
                 else:
@@ -599,24 +581,15 @@ class Engine:
 
         return sorted(self.findings.values(), key=lambda f: f.sort_key), report
 
-    def _follow(self, edge, state: PathState, backcounts: dict):
-        counts = backcounts
-        if edge.dst in self.fg.loop_entries:
+    def _follow(self, edge, state: PathState, loopcounts: dict):
+        dst = edge.dst
+        if dst in self.fg.loop_entries:
             # starting one loop iteration; bounded by the unroll budget
-            key = ("iter", edge.dst)
-            taken = counts.get(key, 0)
+            taken = loopcounts.get(dst, 0)
             if taken >= self.budget.unroll:
                 return None
-            counts = dict(counts)
-            counts[key] = taken + 1
-        if edge.label == EDGE_BACK:
-            key = ("back", edge.src, edge.dst)
-            taken = counts.get(key, 0)
-            if taken >= self.budget.unroll:
-                return None
-            counts = dict(counts)
-            counts[key] = taken + 1
-        return (edge.dst, state, counts)
+            loopcounts = {**loopcounts, dst: taken + 1}
+        return (dst, state, loopcounts)
 
 
 def analyze_function(

@@ -117,10 +117,9 @@ _LITERALS = {  # group: token kind, quote, diagnostic when unterminated
     "char": (KIND_CHAR, "'", "unterminated char literal"),
 }
 
-# Matched against directive lines with their comments blanked to spaces.
-# Horizontal space only: a match that began on an earlier blank line would
-# report that line.
-_INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*(?:<([^>\n]+)>|"([^"\n]+)")', re.MULTILINE)
+# Matched at the start of a directive's '#' line, its comments blanked to
+# spaces. Horizontal space only, so the match stays on that line.
+_INCLUDE_RE = re.compile(r'[ \t]*#[ \t]*include[ \t]*(?:<([^>\n]+)>|"([^"\n]+)")')
 _NOT_NEWLINE = re.compile(r"[^\n]")
 
 
@@ -297,7 +296,9 @@ def _directive(text, gap, hash_pos, index, diags, includes) -> int:
     # The directive's first line may start inside a comment that ends at gap.
     line_start = text.rfind("\n", 0, hash_pos) + 1
     blanked = " " * (gap - line_start) + "".join(out)[max(line_start - gap, 0):]
-    line = index.locate(line_start)[0]
-    for m in _INCLUDE_RE.finditer(blanked):
-        includes.append(IncludeRef(m.group(1) or m.group(2), line + blanked.count("\n", 0, m.start())))
+    # Only the '#' line can name an include: a line spliced on by a
+    # backslash continues the directive, it does not start one.
+    include = _INCLUDE_RE.match(blanked)
+    if include:
+        includes.append(IncludeRef(include.group(1) or include.group(2), index.locate(line_start)[0]))
     return resume

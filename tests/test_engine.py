@@ -176,9 +176,11 @@ def test_analyze_source_stamps_relative_path():
 # the full walk (the engine before its subtree memo) reported. Every function
 # has memo hits that land exactly on the budget and hits that overshoot it.
 # The `x = 5` branch in the loops brings a loop header back to one state under
-# different loop counters. The last three merge only once dead bindings are
+# different loop counters. The next three merge only once dead bindings are
 # dropped at joins: a hoisted call's temporary, a block local after its block,
-# and a loop variable that stays live around the back edge.
+# and a loop variable that stays live around the back edge. The last three
+# shape the loop: two edges into one body (`||`), a loop in a loop, and a body
+# left by `return` rather than the back edge.
 GRID_FUNCTIONS = {
     "if_chain_double_free": (2, """
     int f(int a, int b, int c) {
@@ -265,6 +267,42 @@ GRID_FUNCTIONS = {
         if (a) { use(a); }
         free(p);
         return i;
+    }
+    """),
+    "loop_or_condition": (2, """
+    int f(int n, int a) {
+        char *p = (char *)malloc(8);
+        int x = 0;
+        while (a > x || n) { if (a > n) { x = a * 3; } else { free(p); } n = n - 1; }
+        if (x) { use(x); }
+        free(p);
+        return x;
+    }
+    """),
+    "nested_loop": (2, """
+    int f(int n, int m, int a) {
+        char *p = (char *)malloc(8);
+        int i = 0;
+        while (i < n) {
+            int j = 0;
+            while (j < m) { if (a > j) { use(a); } else { free(p); } j = j + 1; }
+            i = i + 1;
+        }
+        if (a) { use(a); }
+        free(p);
+        return i;
+    }
+    """),
+    "loop_body_ends_in_return": (2, """
+    int f(int n, int a) {
+        char *p = (char *)malloc(8);
+        int x = 0;
+        while (n > a) { if (a) { free(p); } else { x = n; } if (x) { use(x); } return x; }
+        if (a > n) { x = a; } else { free(p); }
+        if (n) { use(n); }
+        if (a) { use(a); }
+        free(p);
+        return x;
     }
     """),
 }
@@ -372,12 +410,15 @@ def test_loops_in_sequence_merge_after_each_loop(monkeypatch):
 
 
 def random_function(rng: random.Random) -> str:
-    """A small function of if/else, loops (some in sequence), calls (some
-    through a callee expression), free/malloc and block locals."""
+    """A small function of if/else (some on `||` and `&&` conditions), loops
+    (some in sequence), calls (some through a callee expression),
+    free/malloc and block locals."""
     budget = [6]  # branching statements left
 
     def cond():
-        return rng.choice(["a > b", "p", "p == NULL", "q != NULL", "!q", "use(a)", "n", "b > 1"])
+        return rng.choice(
+            ["a > b", "p", "p == NULL", "q != NULL", "!q", "use(a)", "n", "b > 1", "a > b || n", "p && n"]
+        )
 
     def var():
         return rng.choice(["a", "b", "n", "d"])

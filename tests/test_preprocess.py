@@ -73,6 +73,14 @@ def test_include_after_leading_comment_recorded():
     assert [(i.target, i.line) for i in out.includes] == [("emscripten.h", 1)]
 
 
-def test_include_on_directive_continuation_line_recorded():
+def test_include_on_directive_continuation_line_not_recorded():
+    # The backslash splices the next line onto the #define: no include starts there.
     out = preprocess_lite("#define X \\\n#include <k.h>\nint x;\n")
-    assert [(i.target, i.line) for i in out.includes] == [("k.h", 2)]
+    assert out.includes == []
+    assert lexemes(out.text) == ["int", "x", ";"]
+
+
+def test_include_after_continued_string_not_recorded():
+    out = preprocess_lite('#define S "a\\\n#include <k.h>\nint x;\n')
+    assert out.includes == []
+    assert lexemes(out.text) == ["int", "x", ";"]

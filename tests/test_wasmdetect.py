@@ -63,6 +63,12 @@ def test_h2_include_inside_multiline_comment_ignored(tmp_path):
     assert not ev.targeting and ev.h2_headers == []
 
 
+def test_h2_include_spliced_onto_a_define_ignored(tmp_path):
+    write(tmp_path, "a.c", "#define A 1 \\\n#include <emscripten.h>\nint x;\n")
+    ev = classify_repo(tmp_path)
+    assert not ev.targeting and ev.h2_headers == []
+
+
 def test_h3_js_api(tmp_path):
     write(tmp_path, "web/load.js", 'const m = await WebAssembly.instantiateStreaming(fetch("a.wasm"));\n')
     ev = classify_repo(tmp_path)
