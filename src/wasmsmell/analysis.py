@@ -9,9 +9,8 @@ from .cfg import build_cfg
 from .checkers import check_structural, default_checker_ids, make_flow_checkers
 from .cparser import parse_source
 from .engine import Budget, analyze_function
+from .lexer import SOURCE_EXTENSIONS
 from .report import BudgetSummary, Finding, ProjectReport, merge_findings, report_path, warn
-
-SOURCE_EXTENSIONS = (".c", ".h", ".cc", ".cpp", ".cxx", ".hpp", ".hh")
 
 
 @dataclass

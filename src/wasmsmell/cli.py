@@ -4,6 +4,12 @@ Exit codes: 0 success / no findings (or positive verdict), 1 findings
 present (or negative verdict), 2 usage or I/O error, 3 dataset
 integrity error. Machine output goes to stdout or --out; warnings go
 to stderr.
+
+Each subcommand imports only the layer it runs when it is dispatched, so
+``collect`` never compiles the C analyzer and ``analyze`` never loads the
+dataset code. Defaults that belong to a layer (``--window``,
+``--wat2wasm``, ...) stay ``None`` here and are resolved by the command
+from that layer's constants.
 """
 
 from __future__ import annotations
@@ -11,20 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
-from . import dataset as ds
-from . import relevance as rel
-from .analysis import analyze_project
-from .checkers import (
-    UnknownCheckerError,
-    default_checker_ids,
-    validate_checker_ids,
-)
-from .engine import Budget
 from .report import ProjectReport, ReportError, canonical_json, compute_corpus_stats, render, report_path
-from .wasmdetect import classify_repo
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -75,25 +70,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="README or description text file")
     p.add_argument("--keywords", type=_comma_list, metavar="WORDS",
                    help="keywords to look for (default: wasm,webassembly,web assembly,emscripten)")
-    p.add_argument("--top-k", type=int, default=rel.DEFAULT_TOP_K)
-    p.add_argument("--window", type=int, default=rel.DEFAULT_WINDOW)
-    p.add_argument("--damping", type=float, default=rel.DEFAULT_DAMPING)
+    p.add_argument("--top-k", type=int)
+    p.add_argument("--window", type=int)
+    p.add_argument("--damping", type=float)
     p.add_argument("--out")
 
     p = sub.add_parser("collect", help="collect and deduplicate WebAssembly binaries")
     p.add_argument("root", help="tree to scan for .wasm/.wat files")
     p.add_argument("--dest", required=True, help="dataset directory")
     p.add_argument("--repo-id", help="origin id recorded in the index (default: root name)")
-    p.add_argument("--wat2wasm", default=ds.DEFAULT_WAT2WASM, metavar="CMD",
+    p.add_argument("--wat2wasm", metavar="CMD",
                    help="converter command template with {in} and {out}")
     p.add_argument("--no-convert", action="store_true", help="skip .wat conversion")
     p.add_argument("--out")
 
     p = sub.add_parser("build", help="run Emscripten wrapper builds over a repo")
     p.add_argument("root")
-    p.add_argument("--cmake-wrapper", default=ds.DEFAULT_CMAKE_WRAPPER)
-    p.add_argument("--make-wrapper", default=ds.DEFAULT_MAKE_WRAPPER)
-    p.add_argument("--timeout", type=float, default=ds.DEFAULT_BUILD_TIMEOUT,
+    p.add_argument("--cmake-wrapper")
+    p.add_argument("--make-wrapper")
+    p.add_argument("--timeout", type=float,
                    help="per-directory build timeout in seconds")
     p.add_argument("--out")
 
@@ -104,7 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _default(value, fallback):
+    """An option's value, or its layer's default when it was not given."""
+    return fallback if value is None else value
+
+
 def cmd_analyze(args) -> int:
+    from .analysis import analyze_project
+    from .checkers import UnknownCheckerError, default_checker_ids, validate_checker_ids
+    from .engine import Budget
+
     root = Path(args.path)
     if not root.exists():
         print(f"error: no such path: {root}", file=sys.stderr)
@@ -131,6 +135,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_detect_wasm(args) -> int:
+    from .wasmdetect import classify_repo
+
     try:
         evidence = classify_repo(args.path)
     except FileNotFoundError as err:
@@ -142,6 +148,15 @@ def cmd_detect_wasm(args) -> int:
 
 
 def cmd_rank_readme(args) -> int:
+    from . import relevance as rel
+
+    top_k = _default(args.top_k, rel.DEFAULT_TOP_K)
+    window = _default(args.window, rel.DEFAULT_WINDOW)
+    damping = _default(args.damping, rel.DEFAULT_DAMPING)
+    if top_k < 1 or window < 2 or not 0.0 < damping < 1.0:
+        print("error: --top-k must be >= 1, --window >= 2 and --damping in (0, 1)",
+              file=sys.stderr)
+        return EXIT_USAGE
     path = Path(args.path)
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
@@ -149,15 +164,16 @@ def cmd_rank_readme(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     keywords = args.keywords if args.keywords else list(rel.DEFAULT_KEYWORDS)
-    verdict = rel.is_relevant(
-        text, keywords=keywords, top_k=args.top_k,
-        window=args.window, damping=args.damping,
-    )
+    verdict = rel.is_relevant(text, keywords=keywords, top_k=top_k, window=window, damping=damping)
     _write_output(canonical_json(verdict.to_dict()), args.out)
     return EXIT_OK if verdict.relevant else EXIT_FINDINGS
 
 
 def cmd_collect(args) -> int:
+    import tempfile
+
+    from . import dataset as ds
+
     root = Path(args.root)
     if not root.is_dir():
         print(f"error: not a directory: {root}", file=sys.stderr)
@@ -173,7 +189,7 @@ def cmd_collect(args) -> int:
         with tempfile.TemporaryDirectory(prefix="wasmsmell-wat-") as work:
             conversion = None
             if wat_files:
-                converter = None if args.no_convert else args.wat2wasm
+                converter = None if args.no_convert else _default(args.wat2wasm, ds.DEFAULT_WAT2WASM)
                 conversion = ds.convert_wat(wat_files, work, converter)
             data = ds.store_dedup_rendered(wasm_files, dest, repo_id, root=root, wat=conversion)
     except ds.IntegrityError as err:
@@ -187,15 +203,17 @@ def cmd_collect(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from . import dataset as ds
+
     root = Path(args.root)
     if not root.is_dir():
         print(f"error: not a directory: {root}", file=sys.stderr)
         return EXIT_USAGE
     log = ds.orchestrate_build(
         root,
-        cmake_wrapper=args.cmake_wrapper,
-        make_wrapper=args.make_wrapper,
-        timeout=args.timeout,
+        cmake_wrapper=_default(args.cmake_wrapper, ds.DEFAULT_CMAKE_WRAPPER),
+        make_wrapper=_default(args.make_wrapper, ds.DEFAULT_MAKE_WRAPPER),
+        timeout=_default(args.timeout, ds.DEFAULT_BUILD_TIMEOUT),
     )
     _write_output(canonical_json(log.to_dict()), args.out)
     return EXIT_OK
@@ -203,12 +221,16 @@ def cmd_build(args) -> int:
 
 def cmd_stats(args) -> int:
     reports = []
-    try:
-        for path in args.reports:
+    for path in args.reports:
+        try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
             reports.append(ProjectReport.from_dict(doc))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, ReportError) as err:
+            print(f"error: {path}: {err}", file=sys.stderr)
+            return EXIT_USAGE
+    try:
         stats = compute_corpus_stats(reports)
-    except (OSError, json.JSONDecodeError, KeyError, ReportError) as err:
+    except ReportError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     _write_output(render(stats, args.format), args.out)

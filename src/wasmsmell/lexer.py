@@ -18,6 +18,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
+# File suffixes read as C/C++ source by the analyzer and the Wasm detector.
+SOURCE_EXTENSIONS = (".c", ".h", ".cc", ".cpp", ".cxx", ".hpp", ".hh")
+
 KIND_IDENT = "identifier"
 KIND_KEYWORD = "keyword"
 KIND_INT = "int-literal"

@@ -55,13 +55,14 @@ class Finding:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Finding":
+        _require_object(d, "a finding")
         return cls(
-            checker=d["checker"],
-            cwe=d.get("cwe"),
-            file=d["file"],
-            line=d["line"],
-            col=d["col"],
-            message=d["message"],
+            checker=_field(d, "checker", str),
+            cwe=_field(d, "cwe", (int, type(None)), None),
+            file=_field(d, "file", str),
+            line=_field(d, "line", int),
+            col=_field(d, "col", int),
+            message=_field(d, "message", str),
         )
 
 
@@ -108,27 +109,55 @@ class ProjectReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProjectReport":
+        """The report of a parsed report JSON; ReportError unless it is an
+        object of this schema whose fields have their types."""
+        _require_object(d, "the report")
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ReportError(
                 f"unsupported schema_version {d.get('schema_version')!r}"
             )
-        b = d.get("budget", {})
+        b = _field(d, "budget", dict, {})
+        stats = _field(d, "stats", dict, {})
+        for checker, count in stats.items():
+            if not isinstance(count, int):
+                raise ReportError(f"stats count of {checker!r} is not an integer")
         return cls(
-            project=d["project"],
-            files_analyzed=d.get("files_analyzed", 0),
-            files_skipped=d.get("files_skipped", 0),
-            findings=[Finding.from_dict(x) for x in d.get("findings", [])],
-            stats=dict(d.get("stats", {})),
+            project=_field(d, "project", str),
+            files_analyzed=_field(d, "files_analyzed", int, 0),
+            files_skipped=_field(d, "files_skipped", int, 0),
+            findings=[Finding.from_dict(x) for x in _field(d, "findings", list, [])],
+            stats=dict(stats),
             budget=BudgetSummary(
-                b.get("paths_explored", 0),
-                b.get("functions_exhausted", 0),
-                b.get("skipped_sites", 0),
+                _field(b, "paths_explored", int, 0),
+                _field(b, "functions_exhausted", int, 0),
+                _field(b, "skipped_sites", int, 0),
             ),
         )
 
 
 class ReportError(ValueError):
     pass
+
+
+_REQUIRED = object()
+
+
+def _require_object(d, what: str):
+    if not isinstance(d, dict):
+        raise ReportError(f"{what} is not a JSON object")
+
+
+def _field(d: dict, key: str, kind, default=_REQUIRED):
+    """d[key], or default if the key is absent; ReportError if a required
+    key is absent or the value is not of type kind."""
+    if key not in d:
+        if default is _REQUIRED:
+            raise ReportError(f"missing field {key!r}")
+        return default
+    value = d[key]
+    if not isinstance(value, kind):
+        raise ReportError(f"field {key!r} has the wrong type {type(value).__name__}")
+    return value
 
 
 def merge_findings(per_file: list[list[Finding]], project: str = "") -> ProjectReport:

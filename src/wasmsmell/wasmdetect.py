@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import SOURCE_EXTENSIONS
+from .lexer import SOURCE_EXTENSIONS
 from .preprocess import preprocess_lite
 from .report import report_path, warn
 

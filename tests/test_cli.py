@@ -142,6 +142,20 @@ def test_rank_readme_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--window", "1"), ("--window", "0"),
+    ("--damping", "1"), ("--damping", "0"), ("--damping", "nan"),
+    ("--top-k", "-3"), ("--top-k", "0"),
+])
+def test_rank_readme_rejects_out_of_range_numbers(flag, value, tmp_path, capsys):
+    f = tmp_path / "r.md"
+    f.write_text("wasm everywhere: wasm modules, wasm runtimes, wasm tools.\n")
+    code, out, err = run_cli(capsys, "rank-readme", str(f), flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+
+
 def test_rank_readme_custom_keywords(tmp_path, capsys):
     f = tmp_path / "r.md"
     f.write_text("cheerp output cheerp tooling cheerp docs\n")
@@ -352,6 +366,29 @@ def test_stats_bad_json_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("data, says", [
+    (b"\xff\xfe{}", "codec can't decode"),
+    (b"[]", "not a JSON object"),
+    (b"{}", "unsupported schema_version"),
+    (b'{"schema_version": 1}', "missing field 'project'"),
+    (b'{"schema_version": 1, "project": ["p"]}', "field 'project'"),
+    (b'{"schema_version": 1, "project": "p", "stats": ["double-free"]}', "field 'stats'"),
+    (b'{"schema_version": 1, "project": "p", "stats": {"double-free": "1"}}', "'double-free'"),
+    (b'{"schema_version": 1, "project": "p", "findings": 5}', "field 'findings'"),
+    (b'{"schema_version": 1, "project": "p", "findings": [1]}', "a finding is not"),
+    (b'{"schema_version": 1, "project": "p", "findings": [{"checker": "x"}]}', "missing field 'file'"),
+    (b'{"schema_version": 1, "project": "p", "budget": 5}', "field 'budget'"),
+    (b'{"schema_version": 1, "project": "p", "budget": {"paths_explored": "3"}}', "field 'paths_explored'"),
+])
+def test_stats_bad_report_exit_two(data, says, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run_cli(capsys, "stats", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: ") and says in err
+
+
 def test_jobs_byte_identical(tmp_path, capsys):
     proj = tmp_path / "proj"
     proj.mkdir()
@@ -422,6 +459,48 @@ def test_importing_the_cli_starts_no_executor():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+FRONTEND = {"lexer", "cparser", "cfg", "engine", "checkers", "analysis"}
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The wasmsmell submodules a fresh interpreter holds after running code."""
+    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('wasmsmell.')))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return {m.removeprefix("wasmsmell.") for m in out.stdout.split()}
+
+
+def test_importing_the_package_or_the_cli_loads_no_layer():
+    assert loaded_modules("import wasmsmell") == set()
+    assert loaded_modules("import wasmsmell.cli") == {"cli", "report"}
+    assert loaded_modules("from wasmsmell import is_relevant") == {"relevance"}
+
+
+def test_each_subcommand_loads_only_its_own_layer(tmp_path):
+    (tmp_path / "a.c").write_bytes(SMELLY)
+    (tmp_path / "r.md").write_text("A webassembly port of a small game engine.\n")
+    out = str(tmp_path / "out")
+
+    def run(*argv):
+        return loaded_modules(f"from wasmsmell.cli import main; main({list(argv)!r})")
+
+    report = str(tmp_path / "report.json")
+    analyze = run("analyze", str(tmp_path / "a.c"), "--out", report)
+    assert analyze & {"dataset", "wasmdetect", "relevance"} == set()
+    assert FRONTEND <= analyze
+    assert run("detect-wasm", str(tmp_path), "--out", out) == {
+        "cli", "report", "wasmdetect", "preprocess", "lexer"}
+    assert run("rank-readme", str(tmp_path / "r.md"), "--out", out) == {"cli", "report", "relevance"}
+    assert run("collect", str(tmp_path), "--dest", str(tmp_path / "ds"), "--no-convert",
+               "--out", out) == {"cli", "report", "dataset"}
+    assert run("stats", report, "--out", out) == {"cli", "report"}
+    assert json.loads((tmp_path / "out").read_text())["total_projects"] == 1
 
 
 def non_utf8_dir(parent: Path, name: bytes) -> Path:

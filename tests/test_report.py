@@ -71,6 +71,19 @@ def test_schema_version_checked():
         ProjectReport.from_dict({"schema_version": 99, "project": "p"})
 
 
+@pytest.mark.parametrize("doc", [[], "report", None, 1])
+def test_report_that_is_not_an_object_is_a_report_error(doc):
+    with pytest.raises(ReportError, match="not a JSON object"):
+        ProjectReport.from_dict(doc)
+
+
+def test_report_round_trips_with_optional_fields_absent():
+    report = ProjectReport.from_dict({"schema_version": 1, "project": "p"})
+    assert report == ProjectReport(project="p")
+    f = mk("double-free", "a.c", 2, 3, cwe=415)
+    assert Finding.from_dict(f.to_dict()) == f
+
+
 def test_corpus_stats_hand_counted():
     p1 = merge_findings(
         [[mk("access-env", "a.c", 1), mk("access-env", "a.c", 2),
