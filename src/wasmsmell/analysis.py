@@ -10,7 +10,7 @@ from .checkers import check_structural, default_checker_ids, make_flow_checkers
 from .cparser import parse_source
 from .engine import Budget, analyze_function
 from .lexer import SOURCE_EXTENSIONS
-from .report import BudgetSummary, Finding, ProjectReport, merge_findings, report_path, warn
+from .report import BudgetSummary, Finding, ProjectReport, merge_findings, report_path, tree_files, warn
 
 
 @dataclass
@@ -51,12 +51,7 @@ def analyze_source(source, rel_path: str, checker_ids=None, budget: Budget | Non
 def collect_source_files(root: Path) -> list[Path]:
     if root.is_file():
         return [root]
-    files = [
-        p
-        for p in root.rglob("*")
-        if p.is_file() and p.suffix.lower() in SOURCE_EXTENSIONS
-    ]
-    return sorted(files)
+    return [p for p in tree_files(root) if p.suffix.lower() in SOURCE_EXTENSIONS]
 
 
 def analyze_project(

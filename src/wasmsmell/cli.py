@@ -5,6 +5,10 @@ present (or negative verdict), 2 usage or I/O error, 3 dataset
 integrity error. Machine output goes to stdout or --out; warnings go
 to stderr.
 
+Commands report an error by raising: `Failure` with its exit code, or an
+OSError or ValueError from their input (exit 2). `main` is the one place
+that prints `error: ...` and picks the exit code.
+
 Each subcommand imports only the layer it runs when it is dispatched, so
 ``collect`` never compiles the C analyzer and ``analyze`` never loads the
 dataset code. Defaults that belong to a layer (``--window``,
@@ -19,12 +23,20 @@ import json
 import sys
 from pathlib import Path
 
-from .report import ProjectReport, ReportError, canonical_json, compute_corpus_stats, render, report_path
+from .report import ProjectReport, canonical_json, compute_corpus_stats, render, report_path
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_INTEGRITY = 3
+
+
+class Failure(Exception):
+    """An error a command reports: main prints it and exits with `code`."""
+
+    def __init__(self, message, code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.code = code
 
 
 def _write_output(data: bytes, out: str | None):
@@ -106,27 +118,21 @@ def _default(value, fallback):
 
 def cmd_analyze(args) -> int:
     from .analysis import analyze_project
-    from .checkers import UnknownCheckerError, default_checker_ids, validate_checker_ids
+    from .checkers import default_checker_ids, validate_checker_ids
     from .engine import Budget
 
     root = Path(args.path)
     if not root.exists():
-        print(f"error: no such path: {root}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.checkers is not None:
-            enabled = validate_checker_ids(args.checkers)
-        else:
-            enabled = default_checker_ids()
-        disabled = set(validate_checker_ids(args.no_checkers))
-    except UnknownCheckerError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise Failure(f"no such path: {root}")
+    if args.checkers is not None:
+        enabled = validate_checker_ids(args.checkers)
+    else:
+        enabled = default_checker_ids()
+    disabled = set(validate_checker_ids(args.no_checkers))
     enabled = [c for c in enabled if c not in disabled]
     budget = Budget(max_paths=args.max_paths, unroll=args.unroll)
     if budget.max_paths < 1 or budget.unroll < 0:
-        print("error: --max-paths must be >= 1 and --unroll >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise Failure("--max-paths must be >= 1 and --unroll >= 0")
     report = analyze_project(
         root, checker_ids=enabled, budget=budget, project=args.project
     )
@@ -137,11 +143,7 @@ def cmd_analyze(args) -> int:
 def cmd_detect_wasm(args) -> int:
     from .wasmdetect import classify_repo
 
-    try:
-        evidence = classify_repo(args.path)
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    evidence = classify_repo(args.path)
     doc = {"schema_version": 1, "wasm_target": evidence.to_dict()}
     _write_output(canonical_json(doc), args.out)
     return EXIT_OK if evidence.targeting else EXIT_FINDINGS
@@ -154,15 +156,8 @@ def cmd_rank_readme(args) -> int:
     window = _default(args.window, rel.DEFAULT_WINDOW)
     damping = _default(args.damping, rel.DEFAULT_DAMPING)
     if top_k < 1 or window < 2 or not 0.0 < damping < 1.0:
-        print("error: --top-k must be >= 1, --window >= 2 and --damping in (0, 1)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    path = Path(args.path)
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise Failure("--top-k must be >= 1, --window >= 2 and --damping in (0, 1)")
+    text = Path(args.path).read_text(encoding="utf-8", errors="replace")
     keywords = args.keywords if args.keywords else list(rel.DEFAULT_KEYWORDS)
     verdict = rel.is_relevant(text, keywords=keywords, top_k=top_k, window=window, damping=damping)
     _write_output(canonical_json(verdict.to_dict()), args.out)
@@ -176,8 +171,7 @@ def cmd_collect(args) -> int:
 
     root = Path(args.root)
     if not root.is_dir():
-        print(f"error: not a directory: {root}", file=sys.stderr)
-        return EXIT_USAGE
+        raise Failure(f"not a directory: {root}")
     repo_id = report_path(args.repo_id or root.name)
     dest = Path(args.dest)
     found = ds.scan_binaries(root)
@@ -193,11 +187,7 @@ def cmd_collect(args) -> int:
                 conversion = ds.convert_wat(wat_files, work, converter)
             data = ds.store_dedup_rendered(wasm_files, dest, repo_id, root=root, wat=conversion)
     except ds.IntegrityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise Failure(err, EXIT_INTEGRITY) from None
     _write_output(data, args.out)
     return EXIT_OK
 
@@ -207,8 +197,7 @@ def cmd_build(args) -> int:
 
     root = Path(args.root)
     if not root.is_dir():
-        print(f"error: not a directory: {root}", file=sys.stderr)
-        return EXIT_USAGE
+        raise Failure(f"not a directory: {root}")
     log = ds.orchestrate_build(
         root,
         cmake_wrapper=_default(args.cmake_wrapper, ds.DEFAULT_CMAKE_WRAPPER),
@@ -225,15 +214,9 @@ def cmd_stats(args) -> int:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
             reports.append(ProjectReport.from_dict(doc))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, ReportError) as err:
-            print(f"error: {path}: {err}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        stats = compute_corpus_stats(reports)
-    except ReportError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    _write_output(render(stats, args.format), args.out)
+        except (OSError, ValueError) as err:  # unreadable, not UTF-8, not JSON, not a report
+            raise Failure(f"{path}: {err}") from None
+    _write_output(render(compute_corpus_stats(reports), args.format), args.out)
     return EXIT_OK
 
 
@@ -249,7 +232,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (Failure, OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return err.code if isinstance(err, Failure) else EXIT_USAGE
 
 
 if __name__ == "__main__":

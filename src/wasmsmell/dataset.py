@@ -37,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .report import SCHEMA_VERSION, canonical_json, report_path, warn
+from .report import SCHEMA_VERSION, canonical_json, report_path, tree_files
 
 DEFAULT_WAT2WASM = "wat2wasm --enable-all {in} -o {out}"
 DEFAULT_CMAKE_WRAPPER = "emcmake cmake ."
@@ -314,21 +314,8 @@ class _DatasetLock:
 
 def scan_binaries(root) -> list[tuple[Path, str]]:
     """All .wasm/.wat files under root (case-insensitive), sorted by path."""
-    root = Path(root)
-    out = []
-    for path in sorted(root.rglob("*")):
-        try:
-            if not path.is_file():
-                continue
-        except OSError as err:
-            warn(f"cannot stat {path}: {err}")
-            continue
-        suffix = path.suffix.lower()
-        if suffix == ".wasm":
-            out.append((path, "wasm"))
-        elif suffix == ".wat":
-            out.append((path, "wat"))
-    return out
+    kinds = {".wasm": "wasm", ".wat": "wat"}
+    return [(p, kinds[s]) for p in tree_files(root) if (s := p.suffix.lower()) in kinds]
 
 
 def sha256_file(path: Path) -> str:
@@ -419,13 +406,15 @@ class WatConversion:
 
 
 def convert_wat(files, work_dir, converter: str | None = DEFAULT_WAT2WASM) -> WatConversion:
-    """Run each .wat through the converter template; failures are data."""
+    """Run each .wat through the converter template; failures are data.
+
+    Without a converter (None, a blank template or a tool not on PATH)
+    every file is skipped. A template shlex cannot read is a ValueError,
+    raised before any file is touched.
+    """
     result = WatConversion()
-    if converter:
-        tool = shlex.split(converter.replace("{in}", "IN").replace("{out}", "OUT"))[0]
-        if shutil.which(tool) is None:
-            converter = None
-    if not converter:
+    template = _split_command(converter or "")
+    if not template or shutil.which(template[0]) is None:
         result.skipped = [Path(f) for f in files]
         return result
     work_dir = Path(work_dir)
@@ -433,10 +422,7 @@ def convert_wat(files, work_dir, converter: str | None = DEFAULT_WAT2WASM) -> Wa
     for i, path in enumerate(files):
         path = Path(path)
         out_path = work_dir / f"wat-{i}-{path.stem}.wasm"
-        cmd = [
-            part.replace("{in}", str(path)).replace("{out}", str(out_path))
-            for part in shlex.split(converter)
-        ]
+        cmd = [part.replace("{in}", str(path)).replace("{out}", str(out_path)) for part in template]
         try:
             proc = subprocess.run(cmd, capture_output=True, timeout=120)
         except (OSError, subprocess.TimeoutExpired) as err:
@@ -476,8 +462,15 @@ class BuildLog:
         return {"schema_version": SCHEMA_VERSION, "directories": self.directories}
 
 
-def _run_step(command: str, cwd: Path, timeout: float) -> BuildStep:
-    argv = shlex.split(command)
+def _split_command(template: str) -> list[str]:
+    """A command template's argv; ValueError naming the template if shlex cannot read it."""
+    try:
+        return shlex.split(template)
+    except ValueError as err:
+        raise ValueError(f"cannot parse command {template!r}: {err}") from None
+
+
+def _run_step(command: str, argv: list[str], cwd: Path, timeout: float) -> BuildStep:
     if not argv or shutil.which(argv[0]) is None:
         return BuildStep(command, "toolchain-unavailable", None, 0.0, "")
     started = time.monotonic()
@@ -503,32 +496,27 @@ def orchestrate_build(
     make_wrapper: str = DEFAULT_MAKE_WRAPPER,
     timeout: float = DEFAULT_BUILD_TIMEOUT,
 ) -> BuildLog:
-    """Run wrapper builds for every CMake/Make directory under repo_root."""
+    """Run wrapper builds for every CMake/Make directory under repo_root:
+    the CMake directories first, each followed by its Makefile if there is
+    one once CMake has run, then the Make-only ones. Both wrappers are
+    read before anything runs; one shlex cannot read is a ValueError."""
     repo_root = Path(repo_root)
+    cmake = (cmake_wrapper, _split_command(cmake_wrapper))
+    make = (make_wrapper, _split_command(make_wrapper))
     log = BuildLog()
-    cmake_dirs = sorted({p.parent for p in repo_root.rglob("CMakeLists.txt")})
-    make_dirs = sorted(
-        {p.parent for p in repo_root.rglob("*") if p.is_file() and p.name == "Makefile"}
-    )
-    seen = set()
-    for d in cmake_dirs:
-        steps = [_run_step(cmake_wrapper, d, timeout)]
-        if (d / "Makefile").exists():
-            steps.append(_run_step(make_wrapper, d, timeout))
-        seen.add(d)
+    cmake_dirs, make_dirs = set(), set()
+    for path in tree_files(repo_root):
+        if path.name == "CMakeLists.txt":
+            cmake_dirs.add(path.parent)
+        elif path.name == "Makefile":
+            make_dirs.add(path.parent)
+    for d in sorted(cmake_dirs) + sorted(make_dirs - cmake_dirs):
+        steps = [_run_step(*cmake, d, timeout)] if d in cmake_dirs else []
+        if d not in cmake_dirs or (d / "Makefile").exists():
+            steps.append(_run_step(*make, d, timeout))
         log.directories.append(
             {
-                "dir": d.relative_to(repo_root).as_posix() or ".",
-                "steps": [s.to_dict() for s in steps],
-            }
-        )
-    for d in make_dirs:
-        if d in seen:
-            continue
-        steps = [_run_step(make_wrapper, d, timeout)]
-        log.directories.append(
-            {
-                "dir": d.relative_to(repo_root).as_posix() or ".",
+                "dir": report_path(d.relative_to(repo_root).as_posix()) or ".",
                 "steps": [s.to_dict() for s in steps],
             }
         )

@@ -115,16 +115,10 @@ def pagerank(
     return scores
 
 
-def rank(
-    tokens: list[str],
-    window: int = DEFAULT_WINDOW,
-    damping: float = DEFAULT_DAMPING,
-    eps: float = DEFAULT_EPS,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> dict[str, float]:
-    if not tokens:
-        return {}
-    return pagerank(build_graph(tokens, window), damping, eps, max_iter)
+def rank(tokens: list[str], window: int = DEFAULT_WINDOW, damping: float = DEFAULT_DAMPING) -> dict[str, float]:
+    """Each token's PageRank score; ValueError on a window or damping out
+    of range, whatever the tokens."""
+    return pagerank(build_graph(tokens, window), damping)
 
 
 def top_ranked(scores: dict[str, float], k: int) -> list[tuple[str, float]]:
@@ -154,11 +148,12 @@ def is_relevant(
     top_k: int = DEFAULT_TOP_K,
     window: int = DEFAULT_WINDOW,
     damping: float = DEFAULT_DAMPING,
-    eps: float = DEFAULT_EPS,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> RelevanceVerdict:
+    """ValueError unless top_k >= 1, window >= 2 and damping is in (0, 1)."""
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
     tokens = extract_candidates(text)
-    scores = rank(tokens, window, damping, eps, max_iter)
+    scores = rank(tokens, window, damping)
     top = top_ranked(scores, top_k)
     top_words = {w for w, _ in top}
 

@@ -2,7 +2,8 @@
 
 All machine output is canonical JSON: sorted keys, UTF-8, LF line
 endings, trailing newline. Rendering the same document twice is
-byte-identical. File names become report text through `report_path`.
+byte-identical. File names become report text through `report_path`;
+every command that walks a tree walks it with `tree_files`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 SCHEMA_VERSION = 1
 
@@ -24,6 +26,33 @@ def report_path(path: str | os.PathLike) -> str:
 def warn(message: str):
     """Tell the user on stderr about something the run skipped."""
     print(f"warning: {message}", file=sys.stderr)
+
+
+def tree_files(root) -> list[Path]:
+    """Every file under root, sorted by path: a link to a file is listed,
+    and a linked directory is not entered. The walk keeps its own stack,
+    so no depth is too deep; a directory or an entry it cannot read is
+    warned about and skipped."""
+    files, stack = [], [Path(root)]
+    while stack:
+        top = stack.pop()
+        try:
+            with os.scandir(top) as it:
+                entries = list(it)
+        except OSError as err:
+            warn(f"cannot read {top}: {err}")
+            continue
+        for entry in entries:
+            path = top / entry.name
+            try:
+                if entry.is_dir(follow_symlinks=False):
+                    stack.append(path)
+                elif entry.is_file():
+                    files.append(path)
+            except OSError as err:  # a link that loops, or a name too long to stat
+                warn(f"cannot read {path}: {err}")
+    files.sort()
+    return files
 
 
 @dataclass

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .lexer import SOURCE_EXTENSIONS
 from .preprocess import preprocess_lite
-from .report import report_path, warn
+from .report import report_path, tree_files, warn
 
 BUILD_SCRIPT_PATTERNS = ("makefile*", "cmakelists.txt", "*.mk", "*.sh", "*.cmake")
 JS_EXTENSIONS = (".js", ".mjs", ".ts", ".html")
@@ -98,7 +98,7 @@ def classify_repo(root) -> RepoEvidence:
     if not root.is_dir():
         raise FileNotFoundError(f"not a directory: {root}")
     evidence = RepoEvidence()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+    for path in tree_files(root):
         name = path.name.lower()
         suffix = path.suffix.lower()
         build = any(fnmatch.fnmatch(name, pat) for pat in BUILD_SCRIPT_PATTERNS)

@@ -550,3 +550,167 @@ def test_detect_wasm_reports_a_non_utf8_file_name_escaped(tmp_path, capsys):
     assert code == 0
     hits = json.loads(out)["wasm_target"]["h2_headers"]
     assert hits == [{"file": "\\xff.c", "line": 1, "text": "emscripten.h"}]
+
+
+def test_build_reports_a_non_utf8_directory_name_escaped(tmp_path, capsys):
+    (non_utf8_dir(tmp_path, b"\xffdir") / "Makefile").write_text("all:\n")
+    code, out, _ = run_cli(capsys, "build", str(tmp_path), "--make-wrapper", "missing-wrapper-tool")
+    assert code == 0
+    (entry,) = json.loads(out)["directories"]
+    assert entry["dir"] == "\\xffdir"
+
+
+def one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "detect-wasm", "rank-readme", "collect", "build", "stats"])
+def test_unwritable_out_is_a_usage_error(command, tmp_path, capsys):
+    (tmp_path / "a.c").write_bytes(SMELLY)
+    (tmp_path / "r.md").write_text("wasm modules and wasm tools\n")
+    report = tmp_path / "report.json"
+    assert run_cli(capsys, "analyze", str(tmp_path / "a.c"), "--out", str(report))[0] == 1
+    argv = {
+        "analyze": [str(tmp_path / "a.c")],
+        "detect-wasm": [str(tmp_path)],
+        "rank-readme": [str(tmp_path / "r.md")],
+        "collect": [str(tmp_path), "--dest", str(tmp_path / "ds")],
+        "build": [str(tmp_path)],
+        "stats": [str(report)],
+    }[command]
+    code, out, err = run_cli(capsys, command, *argv, "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err), err
+
+
+def make_chain(root: Path, name: str, depth: int, files: dict[str, bytes]):
+    """Make root/name/name/... `depth` levels deep, with `files` in the last
+    one, by descending one directory descriptor at a time: no path that
+    long is ever handed to the kernel."""
+    root.mkdir()
+    fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        for _ in range(depth):
+            os.mkdir(name, dir_fd=fd)
+            sub = os.open(name, os.O_RDONLY | os.O_DIRECTORY, dir_fd=fd)
+            os.close(fd)
+            fd = sub
+        for file, data in files.items():
+            out = os.open(file, os.O_WRONLY | os.O_CREAT, 0o644, dir_fd=fd)
+            os.write(out, data)
+            os.close(out)
+    finally:
+        os.close(fd)
+
+
+def remove_chain(root: Path, name: str):
+    """Remove the chain under root: each level's files go, its one
+    subdirectory moves up into root, and the emptied level is removed."""
+    fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        while name in os.listdir(fd):
+            sub = os.open(name, os.O_RDONLY | os.O_DIRECTORY, dir_fd=fd)
+            try:
+                for entry in os.listdir(sub):
+                    if entry == name:
+                        os.rename(name, ".next", src_dir_fd=sub, dst_dir_fd=fd)
+                    else:
+                        os.unlink(entry, dir_fd=sub)
+            finally:
+                os.close(sub)
+            os.rmdir(name, dir_fd=fd)
+            if ".next" in os.listdir(fd):
+                os.rename(".next", name, src_dir_fd=fd, dst_dir_fd=fd)
+    finally:
+        os.close(fd)
+
+
+@pytest.fixture
+def chain(tmp_path):
+    made = []
+
+    def build(dirname: str, name: str, depth: int, files=None) -> Path:
+        root = tmp_path / dirname
+        make_chain(root, name, depth, files or {})
+        made.append((root, name))
+        return root
+
+    yield build
+    for root, name in made:  # shutil.rmtree recurses once per level
+        remove_chain(root, name)
+
+
+def walk_commands(root: Path, tmp_path: Path):
+    """Each walking subcommand's argv over root, in a fresh dataset for collect."""
+    return {
+        "analyze": ["analyze", str(root)],
+        "detect-wasm": ["detect-wasm", str(root)],
+        "collect": ["collect", str(root), "--dest", str(tmp_path / f"ds-{root.name}"), "--no-convert"],
+        "build": ["build", str(root), "--make-wrapper", "missing-wrapper-tool"],
+    }
+
+
+def test_a_tree_1200_directories_deep_is_walked_to_the_bottom(chain, tmp_path, capsys):
+    files = {"a.c": SMELLY, "Makefile": b"all:\n\temcc a.c\n", "m.wasm": b"\0asm1"}
+    root = chain("deep", "d", 1200, files)
+    bottom = "d/" * 1200
+    runs = {cmd: run_cli(capsys, *argv) for cmd, argv in walk_commands(root, tmp_path).items()}
+    assert {cmd: (code, err) for cmd, (code, _, err) in runs.items()} == {
+        "analyze": (1, ""), "detect-wasm": (0, ""), "collect": (0, ""), "build": (0, "")}
+    assert [f["file"] for f in json.loads(runs["analyze"][1])["findings"]] == [bottom + "a.c"]
+    assert json.loads(runs["detect-wasm"][1])["wasm_target"]["h1_build_scripts"][0]["file"] == bottom + "Makefile"
+    assert json.loads(runs["collect"][1])["entries"][0]["origins"] == [{"repo": "deep", "path": bottom + "m.wasm"}]
+    assert [d["dir"] for d in json.loads(runs["build"][1])["directories"]] == [bottom.rstrip("/")]
+
+
+def test_a_tree_past_path_max_is_a_warning(chain, tmp_path, capsys):
+    root = chain("long", "n" * 200, 22)
+    assert len(str(root)) + 22 * 201 > os.pathconf(root, "PC_PATH_MAX")
+    (root / "top.c").write_bytes(CLEAN)
+    for cmd, argv in walk_commands(root, tmp_path).items():
+        code, out, err = run_cli(capsys, *argv)
+        assert code == (1 if cmd == "detect-wasm" else 0), (cmd, err)
+        assert "warning: cannot read" in err and "error" not in err, (cmd, err)
+        if cmd == "analyze":
+            assert json.loads(out)["files_analyzed"] == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("collect", "--wat2wasm"), ("build", "--cmake-wrapper"), ("build", "--make-wrapper"),
+])
+def test_an_unreadable_command_template_is_a_usage_error(command, flag, tmp_path, capsys):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    for name in ("m.wat", "CMakeLists.txt", "Makefile"):
+        (tree / name).write_text("")
+    argv = [command, str(tree), flag, 'cp {in} "{out}']
+    if command == "collect":
+        argv += ["--dest", str(tmp_path / "ds")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err) and "No closing quotation" in err
+    assert not (tmp_path / "ds").exists()
+
+
+def test_build_runs_no_step_when_a_wrapper_cannot_be_read(tmp_path, capsys):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "CMakeLists.txt").write_text("")
+    (tree / "Makefile").write_text("")
+    marker = tmp_path / "marker"
+    code, _, err = run_cli(
+        capsys, "build", str(tree), "--cmake-wrapper", f"touch {marker}", "--make-wrapper", 'make "x',
+    )
+    assert code == 2 and one_error_line(err)
+    assert not marker.exists()
+
+
+def test_collect_with_a_blank_converter_skips_the_wat(tmp_path, capsys):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "m.wat").write_text("(module)")
+    code, out, err = run_cli(capsys, "collect", str(tree), "--dest", str(tmp_path / "ds"), "--wat2wasm", "   ")
+    assert code == 0
+    assert json.loads(out)["wat"] == {"converted": 0, "unconverted": []}

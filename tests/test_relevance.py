@@ -171,6 +171,18 @@ def test_window_must_be_at_least_two():
         build_graph(["aa"], window=1)
 
 
+@pytest.mark.parametrize("bad", [{"window": 1}, {"damping": 1.0}])
+def test_parameters_checked_on_empty_text(bad):
+    with pytest.raises(ValueError):
+        is_relevant("", **bad)
+
+
+@pytest.mark.parametrize("top_k", [0, -3])
+def test_top_k_below_one_rejected(top_k):
+    with pytest.raises(ValueError, match="top_k"):
+        is_relevant(README_TEXTS[1], top_k=top_k)  # relevant at any top_k >= 1
+
+
 def test_empty_text_not_relevant():
     verdict = is_relevant("")
     assert not verdict.relevant

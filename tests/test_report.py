@@ -12,6 +12,7 @@ from wasmsmell.report import (
     merge_findings,
     render,
     report_path,
+    tree_files,
 )
 
 
@@ -133,3 +134,29 @@ def test_report_path_escapes_only_bytes_that_are_not_utf8():
     assert report_path("sub/\u00e9.c") == "sub/\u00e9.c"
     assert report_path(os.fsdecode(b"sub/\xff\xc3.c")) == "sub/\\xff\\xc3.c"
     assert report_path(b"\xe2\x82\xac\xff") == "\u20ac\\xff"
+
+
+def test_tree_files_lists_what_rglob_lists(tmp_path, capsys):
+    root = tmp_path / "root"
+    (root / "sub" / ".hidden").mkdir(parents=True)
+    (root / "sub" / ".hidden" / "x.c").write_text("")
+    (root / "sub" / "file.txt").write_text("")
+    (root / ".dotfile").write_text("")
+    (root / "to_file").symlink_to(root / "sub" / "file.txt")
+    (root / "to_dir").symlink_to(root / "sub")
+    (root / "dangling").symlink_to(root / "nowhere")
+    (root / "loop").symlink_to("loop")
+    os.mkfifo(root / "fifo")
+    try:
+        (root / os.fsdecode(b"\xff.c")).write_text("")
+    except (OSError, UnicodeEncodeError) as err:
+        pytest.skip(f"file system refuses a name that is not UTF-8: {err}")
+    reference = sorted(p for p in root.rglob("*") if p.is_file())
+    assert root / "to_file" in reference
+    assert root / "to_dir" / "file.txt" not in reference
+    capsys.readouterr()
+
+    assert tree_files(root) == reference
+    err = capsys.readouterr().err
+    assert err.count("warning: ") == 1
+    assert err.startswith(f"warning: cannot read {root / 'loop'}: ")
